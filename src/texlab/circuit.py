@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +59,9 @@ _STANDARD_SINGLE = {
     GateKind.T: np.diag([1.0, np.exp(1j * np.pi / 4)]).astype(np.complex128),
     GateKind.S: np.diag([1.0, 1j]).astype(np.complex128),
 }
+
+_EYE2 = np.eye(2, dtype=np.complex128)
+_EYE4 = np.eye(4, dtype=np.complex128)
 
 _STANDARD_CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
@@ -164,6 +168,26 @@ class CircuitLayer:
                 seen.add(track)
         object.__setattr__(self, "gates", gates)
 
+    @cached_property
+    def gate_matrices(self) -> dict[GateKind, np.ndarray]:
+        """Read-only computational-coordinate matrix of every gate kind,
+        built once per layer and shared by every run."""
+        mats = {kind: gate_matrix(kind, self.hidden_basis) for kind in GateKind}
+        for m in mats.values():
+            m.setflags(write=False)
+        return mats
+
+    @cached_property
+    def track_roles(self) -> tuple[tuple[GateKind, int | None, tuple[int, int] | None], ...]:
+        """Per track, (kind, side, pair): side 0 or 1 marks the control or
+        target of the CNOT ``pair``; single-qubit tracks have side and pair
+        None. Tracks of one role fed the same input give the same output."""
+        roles = {t: (kind, None, None) for t, kind in self.single_assignments().items()}
+        for pair in self.cnot_pairs():
+            roles[pair[0]] = (GateKind.CNOT, 0, pair)
+            roles[pair[1]] = (GateKind.CNOT, 1, pair)
+        return tuple(roles[t] for t in range(self.num_tracks))
+
     def cnot_pairs(self) -> list[tuple[int, int]]:
         return [(g.control, g.target) for g in self.gates if isinstance(g, CnotGate)]
 
@@ -194,18 +218,6 @@ class TrackOutput:
         object.__setattr__(self, "rho", m)
 
 
-def _layer_unitaries(layer: CircuitLayer) -> tuple[dict[int, np.ndarray], list[tuple[int, int, np.ndarray]]]:
-    singles = {
-        t: gate_matrix(kind, layer.hidden_basis)
-        for t, kind in layer.single_assignments().items()
-    }
-    pairs = [
-        (c, t, gate_matrix(GateKind.CNOT, layer.hidden_basis))
-        for c, t in layer.cnot_pairs()
-    ]
-    return singles, pairs
-
-
 def run_layer(layer: CircuitLayer, sample: HaarQubitSample) -> list[TrackOutput]:
     """Exact reduced output of every track for one randomized run.
 
@@ -215,47 +227,69 @@ def run_layer(layer: CircuitLayer, sample: HaarQubitSample) -> list[TrackOutput]
     (1-p) |psi psi><psi psi| + p I/4.
     """
     psi = ket_in_basis(sample, layer.hidden_basis)
-    return _run_layer_on_kets(layer, {t: psi for t in range(layer.num_tracks)})
+    n = layer.num_tracks
+    return _run_layer_on_kets(layer, [psi] * n, range(n), layer.noise)
 
 
-def run_layer_with_inputs(layer: CircuitLayer, kets) -> list[TrackOutput]:
+def run_layer_with_inputs(layer: CircuitLayer, kets, tracks=None) -> list[TrackOutput]:
     """Deterministic, noise-free run with a chosen input ket per track.
 
     Probe semantics: noise knobs are ignored, inputs are taken as given.
+    Every ket is validated; only the outputs of ``tracks`` (default: all
+    tracks, in order) are computed and returned, in the order given.
     """
     kets = list(kets)
     if len(kets) != layer.num_tracks:
         raise ValueError(
             f"kets: expected {layer.num_tracks} inputs, got {len(kets)}"
         )
-    inputs = {t: as_ket(k, name=f"kets[{t}]") for t, k in enumerate(kets)}
-    noiseless = CircuitLayer(
-        num_tracks=layer.num_tracks,
-        hidden_basis=layer.hidden_basis,
-        gates=layer.gates,
-        noise=(0.0, 0.0),
-    )
-    return _run_layer_on_kets(noiseless, inputs)
+    # Probes pass one ket object to many tracks; validate each object once.
+    checked: dict[int, np.ndarray] = {}
+    for t, k in enumerate(kets):
+        if id(k) not in checked:
+            checked[id(k)] = as_ket(k, name=f"kets[{t}]")
+    kets = [checked[id(k)] for k in kets]
+    tracks = range(layer.num_tracks) if tracks is None else list(tracks)
+    bad = [t for t in tracks if not 0 <= t < layer.num_tracks]
+    if bad:
+        raise ValueError(f"tracks: {bad} out of range for {layer.num_tracks} tracks")
+    return _run_layer_on_kets(layer, kets, tracks, (0.0, 0.0))
 
 
-def _run_layer_on_kets(layer: CircuitLayer, inputs: dict[int, np.ndarray]) -> list[TrackOutput]:
-    p, q = layer.noise
-    eye2 = np.eye(2, dtype=np.complex128)
-    eye4 = np.eye(4, dtype=np.complex128)
-    singles, pairs = _layer_unitaries(layer)
-    outputs: dict[int, np.ndarray] = {}
-    for track, u in singles.items():
-        ket = inputs[track]
-        pure = np.outer(u @ ket, (u @ ket).conj())
-        outputs[track] = (1.0 - p) * pure + p * eye2 / 2.0
-    for control, target, u4 in pairs:
-        joint_ket = np.kron(inputs[control], inputs[target])
-        joint_in = (1.0 - p) * np.outer(joint_ket, joint_ket.conj()) + p * eye4 / 4.0
-        gated = u4 @ joint_in @ u4.conj().T
-        joint_out = (1.0 - q) * gated + q * joint_in
-        outputs[control] = partial_trace(joint_out, (2, 2), keep=0)
-        outputs[target] = partial_trace(joint_out, (2, 2), keep=1)
-    return [TrackOutput(track=t, rho=outputs[t]) for t in range(layer.num_tracks)]
+def _run_layer_on_kets(
+    layer: CircuitLayer, kets: list, tracks, noise: tuple[float, float]
+) -> list[TrackOutput]:
+    """Outputs of ``tracks``; each (role, input ket object) state is
+    computed once and shared by the tracks that hold it."""
+    p, q = noise
+    mats = layer.gate_matrices
+    roles = layer.track_roles
+    states: dict[tuple, np.ndarray] = {}
+    outputs = []
+    for track in tracks:
+        kind, side, pair = roles[track]
+        if pair is None:
+            key = (kind, id(kets[track]))
+        else:
+            key = (side, id(kets[pair[0]]), id(kets[pair[1]]))
+        rho = states.get(key)
+        if rho is None:
+            if pair is None:
+                u = mats[kind]
+                ket = kets[track]
+                pure = np.outer(u @ ket, (u @ ket).conj())
+                rho = (1.0 - p) * pure + p * _EYE2 / 2.0
+            else:
+                u4 = mats[GateKind.CNOT]
+                # np.kron's products, bit for bit, at a fraction of its cost
+                joint_ket = np.outer(kets[pair[0]], kets[pair[1]]).reshape(4)
+                joint_in = (1.0 - p) * np.outer(joint_ket, joint_ket.conj()) + p * _EYE4 / 4.0
+                gated = u4 @ joint_in @ u4.conj().T
+                joint_out = (1.0 - q) * gated + q * joint_in
+                rho = partial_trace(joint_out, (2, 2), keep=side)
+            states[key] = rho
+        outputs.append(TrackOutput(track=track, rho=rho))
+    return outputs
 
 
 def _sigma_computational(rho: np.ndarray) -> float:

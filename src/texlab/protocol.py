@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,7 +32,6 @@ from .circuit import (
     CnotGate,
     GateKind,
     SingleGate,
-    gate_matrix,
     run_layer_with_inputs,
     standard_gate_matrix,
 )
@@ -58,9 +56,6 @@ DEGENERACY_FLOOR = 0.01
 #: The spurious fixed rays of a CNOT sit at squared overlap 1/2 from the true
 #: basis ket, so 0.7 separates refinement from capture by a wrong fixed point.
 BASIN_MIN_OVERLAP = 0.7
-
-#: Worker chunk length for the vectorized trial engine.
-_CHUNK = 16_384
 
 #: Key tag of the derived stream used for shot-noise binomials.
 _SHOT_TAG = 0x53484F54
@@ -160,8 +155,7 @@ def master_generator(seed: int) -> np.random.Generator:
     """Counter-based generator keyed by the master seed.
 
     Trial t of the protocol consumes stream positions 2t and 2t+1, so the
-    trial inputs are a pure function of (seed, trial index) independent of
-    chunking and worker count.
+    trial inputs are a pure function of (seed, trial index).
     """
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise ValueError(f"seed: expected an integer, got {seed!r}")
@@ -191,101 +185,91 @@ def run_protocol(
     ``shots`` set, each exact value is replaced by a binomial estimate drawn
     from a second derived stream in fixed track-major order.
 
-    The per-trial work is split into fixed-size chunks executed by a thread
-    pool capped by TEXLAB_THREADS; results are byte-identical for any worker
-    count because the chunks write disjoint slices of preallocated arrays and
-    all randomness is drawn outside the pool.
+    All tracks of one role (gate kind, CNOT control, CNOT target) see the
+    same values, so each role is simulated once and its tracks share the
+    moments; binomials are still drawn per track. The engine runs on one
+    thread: TEXLAB_THREADS is validated but changes nothing.
     """
     if trials < 1:
         raise ValueError(f"trials: must be a positive integer, got {trials}")
     if shots is not None and shots < 1:
         raise ValueError(f"shots: must be a positive integer, got {shots}")
+    _thread_count()
+    psi = _trial_kets(layer.hidden_basis, seed, trials)
+    p, q = layer.noise
+    mats = layer.gate_matrices
+    roles = [(kind, side) for kind, side, _pair in layer.track_roles]
+    # (kind, side) -> per-trial (computational, Fourier) grand sums, reduced
+    # to their moments at once unless shots are drawn from them.
+    values: dict[tuple, tuple] = {}
+    for kind in dict.fromkeys(kind for kind, _side in roles):
+        if kind is GateKind.CNOT:
+            sides = zip(((kind, 0), (kind, 1)), _cnot_values(psi, mats[kind], p, q))
+        else:
+            sides = [((kind, None), _single_values(psi, mats[kind], p))]
+        for role, sums in sides:
+            values[role] = sums if shots is not None else _moments(*sums)
+    if shots is None:
+        return [
+            TrackStats(track, *values[role], trials=trials)
+            for track, role in enumerate(roles)
+        ]
+    shot_gen = _shot_generator(seed)
+    stats = []
+    for track, role in enumerate(roles):
+        draws = [
+            2.0 * shot_gen.binomial(shots, np.clip(vals / 2.0, 0.0, 1.0)) / shots
+            for vals in values[role]
+        ]
+        stats.append(TrackStats(track, *_moments(*draws), trials=trials))
+    return stats
+
+
+def _trial_kets(basis: QubitBasis, seed: int, trials: int) -> np.ndarray:
+    """(trials, 2) computational-coordinate input kets of the trials."""
     gen = master_generator(seed)
     u = gen.random(size=(trials, 2))
     cos_theta = 1.0 - 2.0 * u[:, 0]
     phi = 2.0 * np.pi * u[:, 1]
     a = np.sqrt((1.0 + cos_theta) / 2.0)
     b = np.exp(1j * phi) * np.sqrt((1.0 - cos_theta) / 2.0)
-    alpha = layer.hidden_basis.alpha
-    beta = layer.hidden_basis.beta
     psi = np.empty((trials, 2), dtype=np.complex128)
-    psi[:, 0] = a * alpha + b * np.conj(beta)
-    psi[:, 1] = a * beta - b * np.conj(alpha)
+    psi[:, 0] = a * basis.alpha + b * np.conj(basis.beta)
+    psi[:, 1] = a * basis.beta - b * np.conj(basis.alpha)
+    return psi
 
-    p, q = layer.noise
-    singles = [
-        (track, gate_matrix(kind, layer.hidden_basis))
-        for track, kind in sorted(layer.single_assignments().items())
-    ]
-    pairs = [
-        (c, t, gate_matrix(GateKind.CNOT, layer.hidden_basis))
-        for c, t in layer.cnot_pairs()
-    ]
-    comp = np.empty((layer.num_tracks, trials), dtype=np.float64)
-    four = np.empty((layer.num_tracks, trials), dtype=np.float64)
 
-    def fill(start: int, stop: int) -> None:
-        ps = psi[start:stop]
-        s_in_comp = np.abs(ps[:, 0] + ps[:, 1]) ** 2
-        s_in_four = 2.0 * np.abs(ps[:, 0]) ** 2
-        for track, u2 in singles:
-            out = ps @ u2.T
-            sc = np.abs(out[:, 0] + out[:, 1]) ** 2
-            sf = 2.0 * np.abs(out[:, 0]) ** 2
-            comp[track, start:stop] = (1.0 - p) * sc + p
-            four[track, start:stop] = (1.0 - p) * sf + p
-        for control, target, u4 in pairs:
-            joint = np.einsum("ti,tj->tij", ps, ps).reshape(-1, 4)
-            out = (joint @ u4.T).reshape(-1, 2, 2)
-            col_sums = out.sum(axis=1)
-            row_sums = out.sum(axis=2)
-            sc_c = (np.abs(col_sums) ** 2).sum(axis=1)
-            sf_c = 2.0 * (np.abs(out[:, 0, :]) ** 2).sum(axis=1)
-            sc_t = (np.abs(row_sums) ** 2).sum(axis=1)
-            sf_t = 2.0 * (np.abs(out[:, :, 0]) ** 2).sum(axis=1)
-            keep = (1.0 - q) * (1.0 - p)
-            drop = q * (1.0 - p)
-            comp[control, start:stop] = keep * sc_c + drop * s_in_comp + p
-            four[control, start:stop] = keep * sf_c + drop * s_in_four + p
-            comp[target, start:stop] = keep * sc_t + drop * s_in_comp + p
-            four[target, start:stop] = keep * sf_t + drop * s_in_four + p
+def _single_values(psi: np.ndarray, u2: np.ndarray, p: float) -> tuple:
+    """Per-trial (computational, Fourier) grand sums of a single-qubit track."""
+    out = psi @ u2.T
+    sc = np.abs(out[:, 0] + out[:, 1]) ** 2
+    sf = 2.0 * np.abs(out[:, 0]) ** 2
+    return (1.0 - p) * sc + p, (1.0 - p) * sf + p
 
-    bounds = [(s, min(s + _CHUNK, trials)) for s in range(0, trials, _CHUNK)]
-    workers = _thread_count()
-    if workers == 1 or len(bounds) == 1:
-        for start, stop in bounds:
-            fill(start, stop)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda se: fill(*se), bounds))
 
-    if shots is not None:
-        shot_gen = _shot_generator(seed)
-        for track in range(layer.num_tracks):
-            for arr in (comp, four):
-                prob = np.clip(arr[track] / 2.0, 0.0, 1.0)
-                arr[track] = 2.0 * shot_gen.binomial(shots, prob) / shots
+def _cnot_values(psi: np.ndarray, u4: np.ndarray, p: float, q: float) -> tuple:
+    """Per-trial (computational, Fourier) grand sums of a CNOT control and
+    of its target. Temporaries die on return, which bounds peak memory."""
+    s_in_comp = np.abs(psi[:, 0] + psi[:, 1]) ** 2
+    s_in_four = 2.0 * np.abs(psi[:, 0]) ** 2
+    out = (np.einsum("ti,tj->tij", psi, psi).reshape(-1, 4) @ u4.T).reshape(-1, 2, 2)
+    sc_c = (np.abs(out.sum(axis=1)) ** 2).sum(axis=1)
+    sf_c = 2.0 * (np.abs(out[:, 0, :]) ** 2).sum(axis=1)
+    sc_t = (np.abs(out.sum(axis=2)) ** 2).sum(axis=1)
+    sf_t = 2.0 * (np.abs(out[:, :, 0]) ** 2).sum(axis=1)
+    keep = (1.0 - q) * (1.0 - p)
+    drop = q * (1.0 - p)
+    return (
+        (keep * sc_c + drop * s_in_comp + p, keep * sf_c + drop * s_in_four + p),
+        (keep * sc_t + drop * s_in_comp + p, keep * sf_t + drop * s_in_four + p),
+    )
 
-    stats = []
-    for track in range(layer.num_tracks):
-        x_vals = comp[track]
-        y_vals = four[track]
-        if trials > 1:
-            se_x = float(np.std(x_vals, ddof=1) / math.sqrt(trials))
-            se_y = float(np.std(y_vals, ddof=1) / math.sqrt(trials))
-        else:
-            se_x = se_y = 0.0
-        stats.append(
-            TrackStats(
-                track=track,
-                x_like=float(np.mean(x_vals)),
-                y_like=float(np.mean(y_vals)),
-                stderr_x=se_x,
-                stderr_y=se_y,
-                trials=trials,
-            )
-        )
-    return stats
+
+def _moments(x_vals: np.ndarray, y_vals: np.ndarray) -> tuple[float, float, float, float]:
+    """(mean x, mean y, stderr x, stderr y); one trial has stderr 0.0."""
+    n = len(x_vals)
+    se = [float(np.std(v, ddof=1) / math.sqrt(n)) if n > 1 else 0.0 for v in (x_vals, y_vals)]
+    return float(np.mean(x_vals)), float(np.mean(y_vals)), se[0], se[1]
 
 
 # ---------------------------------------------------------------------------
@@ -460,18 +444,30 @@ def recover_basis(averages, stderr: float = 0.0) -> list[CandidateBasis]:
 
 
 def _pooled_pair_stats(
-    stats: list[TrackStats], detected: list[int], ambiguous: list[int]
-) -> tuple[tuple[float, float], tuple[float, float], float]:
+    stats: list[TrackStats], detected: list[int], ambiguous: list[int], *, exact_split=False
+) -> tuple[tuple[float, float], tuple[float, float], float] | None:
     """Pool detected-track statistics into one (control-like, target-like)
     pair of (computational, Fourier) means plus a combined standard error.
 
     Clusters of identical signatures are pooled together; when only one
     signature is visible the partner slot is filled from the ambiguous
     tracks, or with the featureless point (1, 1) if there are none.
+
+    With ``exact_split`` the detected tracks are grouped by their exact
+    means (without shots all controls share bit-identical means, as do all
+    targets); None unless that gives two groups of equal size.
     """
     by_track = {s.track: s for s in stats}
     detected_stats = [by_track[t] for t in detected]
-    clusters = _signature_clusters(detected_stats)
+    if exact_split:
+        groups: dict[tuple[float, float], list[TrackStats]] = {}
+        for stat in detected_stats:
+            groups.setdefault((stat.x_like, stat.y_like), []).append(stat)
+        clusters = list(groups.values())
+        if len(clusters) != 2 or len(clusters[0]) != len(clusters[1]):
+            return None
+    else:
+        clusters = _signature_clusters(detected_stats)
     clusters.sort(key=lambda c: (-len(c), min(s.track for s in c)))
 
     def pool(members: list[TrackStats]) -> tuple[float, float, float]:
@@ -512,8 +508,8 @@ def _ray_distance(a: QubitBasis, b: QubitBasis) -> float:
 def _product_test_min_fidelity(
     layer: CircuitLayer, plus: np.ndarray, tracks
 ) -> float:
-    outs = run_layer_with_inputs(layer, [plus] * layer.num_tracks)
-    return min(_track_fidelity(outs[t].rho, plus) for t in tracks)
+    outs = run_layer_with_inputs(layer, [plus] * layer.num_tracks, tracks=tracks)
+    return min(_track_fidelity(out.rho, plus) for out in outs)
 
 
 def _polish_candidate(
@@ -537,7 +533,7 @@ def _polish_candidate(
         v0 = v.copy()
         converged = False
         for _ in range(60):
-            rho = run_layer_with_inputs(layer, [v] * n)[probe].rho
+            rho = run_layer_with_inputs(layer, [v] * n, tracks=[probe])[0].rho
             w = principal_eigenvector(rho)
             overlap = np.vdot(v, w)
             if abs(overlap) > 1e-12:
@@ -675,7 +671,7 @@ def _pin_basis_phase(
         kets = [plus] * n
         kets[control] = s_state
         kets[target] = target_ket
-        rho = run_layer_with_inputs(layer, kets)[control].rho
+        rho = run_layer_with_inputs(layer, kets, tracks=[control])[0].rho
         return float(np.real(plus.conj() @ rho @ minus))
 
     cos_term = 2.0 * coherence(s_state)
@@ -688,7 +684,7 @@ def _pin_basis_phase(
     kets = [check_plus] * n
     kets[control] = (check_plus + check_minus) / np.sqrt(2.0)
     kets[target] = (check_plus + check_minus) / np.sqrt(2.0)
-    rho = run_layer_with_inputs(layer, kets)[control].rho
+    rho = run_layer_with_inputs(layer, kets, tracks=[control])[0].rho
     residual = abs(complex(check_plus.conj() @ rho @ check_minus) - 0.5)
     if residual > 1e-9:
         raise IdentificationError(
@@ -719,14 +715,15 @@ def classify_single_qubit_gates(
         (plus + 1j * minus) / np.sqrt(2.0),
     ]
     n = layer.num_tracks
-    outputs = [run_layer_with_inputs(layer, [p] * n) for p in probes]
+    tracks = list(tracks)
+    outputs = [run_layer_with_inputs(layer, [p] * n, tracks=tracks) for p in probes]
     b_matrix = basis.matrix()
     labels: dict[int, str] = {}
-    for track in tracks:
+    for index, track in enumerate(tracks):
         kets = []
         pure = True
         for out in outputs:
-            rho = out[track].rho
+            rho = out[index].rho
             purity = float(np.real(np.trace(rho @ rho)))
             if purity < 1.0 - 1e-10:
                 pure = False
@@ -865,6 +862,19 @@ def identify_layer(
 
     (x1, y1), (x2, y2), pooled_err = _pooled_pair_stats(stats, detected, ambiguous)
     candidates = recover_basis((x1, x2, y1, y2), stderr=pooled_err)
+    if not candidates:
+        # Control and target signatures closer than the clustering slack
+        # merge into one cluster, and the partner slot is filled from other
+        # tracks; split the detected tracks by their exact means instead.
+        split = _pooled_pair_stats(stats, detected, ambiguous, exact_split=True)
+        if split is not None:
+            (x1, y1), (x2, y2), pooled_err = split
+            candidates = recover_basis((x1, x2, y1, y2), stderr=pooled_err)
+            if candidates:
+                notes.append(
+                    "control and target signatures merged; detected tracks "
+                    "split by their exact means"
+                )
     if not candidates:
         raise IdentificationError(
             "no self-consistent candidate basis for the measured averages"

@@ -211,6 +211,108 @@ def test_run_layer_noise_is_an_exact_mixture():
     np.testing.assert_allclose(outs[1].rho, np.einsum("kikj->ij", t), atol=1e-12)
 
 
+def _per_track_outputs(layer, kets, noise):
+    """Reference: every track simulated on its own, with fresh gate matrices."""
+    p, q = noise
+    outputs = {}
+    for track, kind in layer.single_assignments().items():
+        u = gate_matrix(kind, layer.hidden_basis)
+        ket = np.asarray(kets[track], dtype=np.complex128)
+        pure = np.outer(u @ ket, (u @ ket).conj())
+        outputs[track] = (1.0 - p) * pure + p * np.eye(2, dtype=np.complex128) / 2.0
+    for control, target in layer.cnot_pairs():
+        u4 = gate_matrix(GateKind.CNOT, layer.hidden_basis)
+        joint_ket = np.kron(kets[control], kets[target])
+        joint_in = (1.0 - p) * np.outer(joint_ket, joint_ket.conj()) + p * np.eye(
+            4, dtype=np.complex128
+        ) / 4.0
+        gated = u4 @ joint_in @ u4.conj().T
+        joint_out = ((1.0 - q) * gated + q * joint_in).reshape(2, 2, 2, 2)
+        outputs[control] = np.einsum("ikjk->ij", joint_out)
+        outputs[target] = np.einsum("kikj->ij", joint_out)
+    return [outputs[t] for t in range(layer.num_tracks)]
+
+
+def _role_layer(basis, noise=(0.0, 0.0)):
+    # Two CNOTs, two H, one T, one S and two identity tracks: every role
+    # is held by more than one track except T and S.
+    return CircuitLayer(
+        num_tracks=10,
+        hidden_basis=basis,
+        gates=(
+            CnotGate(control=0, target=3),
+            CnotGate(control=8, target=1),
+            SingleGate(kind=GateKind.HADAMARD, track=2),
+            SingleGate(kind=GateKind.HADAMARD, track=9),
+            SingleGate(kind=GateKind.T, track=4),
+            SingleGate(kind=GateKind.S, track=6),
+        ),
+        noise=noise,
+    )
+
+
+def test_run_layer_with_inputs_is_exact_per_track_and_per_subset():
+    rng = np.random.default_rng(67)
+    basis = _random_basis(rng)
+    layer = _role_layer(basis)
+    n = layer.num_tracks
+    plus, minus = basis.plus_ket(), basis.minus_ket()
+    distinct = []
+    for _ in range(n):
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        distinct.append(v / np.linalg.norm(v))
+    pairing = [plus] * n
+    pairing[8] = minus
+    shared = [distinct[0]] * n
+    copies = [distinct[0].copy() for _ in range(n)]
+    subsets = [[4], [3, 0], [7, 2, 2, 8], list(range(n))[::-1], []]
+    for kets in (distinct, pairing, shared, copies):
+        full = run_layer_with_inputs(layer, kets)
+        assert [out.track for out in full] == list(range(n))
+        for out, expected in zip(full, _per_track_outputs(layer, kets, (0.0, 0.0))):
+            np.testing.assert_array_equal(out.rho, expected)
+        for subset in subsets:
+            part = run_layer_with_inputs(layer, kets, tracks=subset)
+            assert [out.track for out in part] == subset
+            for out in part:
+                np.testing.assert_array_equal(out.rho, full[out.track].rho)
+    for a, b in zip(run_layer_with_inputs(layer, shared), run_layer_with_inputs(layer, copies)):
+        np.testing.assert_array_equal(a.rho, b.rho)
+
+    bad = list(pairing)
+    bad[5] = np.array([1.0, 1.0])
+    with pytest.raises(ValueError, match="kets\\[5\\]"):
+        run_layer_with_inputs(layer, bad, tracks=[0])
+    with pytest.raises(ValueError, match="tracks"):
+        run_layer_with_inputs(layer, pairing, tracks=[n])
+
+
+def test_run_layer_on_shared_roles_equals_the_noisy_mixture():
+    rng = np.random.default_rng(68)
+    basis = _random_basis(rng)
+    noise = (0.2, 0.3)
+    layer = _role_layer(basis, noise=noise)
+    sample = HaarQubitSample(theta=0.9, phi=2.5)
+    psi = ket_in_basis(sample, basis)
+    outs = run_layer(layer, sample)
+    expected = _per_track_outputs(layer, [psi] * layer.num_tracks, noise)
+    for out, rho in zip(outs, expected):
+        np.testing.assert_array_equal(out.rho, rho)
+
+
+def test_layer_gate_matrices_are_built_once_and_read_only():
+    rng = np.random.default_rng(69)
+    layer = _role_layer(_random_basis(rng))
+    mats = layer.gate_matrices
+    assert mats is layer.gate_matrices
+    for kind in GateKind:
+        np.testing.assert_array_equal(mats[kind], gate_matrix(kind, layer.hidden_basis))
+        assert not mats[kind].flags.writeable
+    assert layer.track_roles[0] == (GateKind.CNOT, 0, (0, 3))
+    assert layer.track_roles[3] == (GateKind.CNOT, 1, (0, 3))
+    assert layer.track_roles[7] == (GateKind.IDENTITY, None, None)
+
+
 def test_measure_grand_sums_both_bases():
     rng = np.random.default_rng(65)
     basis = _random_basis(rng)

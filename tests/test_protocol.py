@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -617,6 +619,81 @@ def test_identify_featureless_layer_reports_partial():
     assert report.status == "partial"
     assert report.cnot_tracks == ()
     assert report.notes
+
+
+def _assert_full_and_true(layer, report):
+    assert report.status == "full", report.notes
+    assert sorted(report.cnot_pairs) == sorted(layer.cnot_pairs())
+    expected = {t: kind.value for t, kind in layer.single_assignments().items()}
+    for control, target in layer.cnot_pairs():
+        expected[control] = "CNOT_CONTROL"
+        expected[target] = "CNOT_TARGET"
+    assert report.gates == expected
+
+    def triple(basis):
+        return (
+            abs(basis.alpha),
+            abs(math.cos(cmath.phase(basis.alpha))),
+            abs(math.cos(cmath.phase(basis.beta))),
+        )
+
+    truth = triple(layer.hidden_basis)
+    found = triple(report.selected.basis)
+    assert max(abs(a - b) for a, b in zip(truth, found)) <= 0.02
+
+
+@pytest.mark.parametrize(
+    "layer_kwargs, identify_seed",
+    [
+        # 3 tracks: control (X, Y) = (1.0002, 0.764), target (0.996, 0.761).
+        (dict(num_tracks=3, num_cnots=1, seed=9049926895248521860), 8828705604016499617),
+        # A layer of the identify-narrow benchmark stream (seed 608, op 279).
+        (dict(num_tracks=8, num_cnots=3, seed=6144972098789580341), 4567680813197931653),
+    ],
+    ids=["three-tracks", "benchmark-stream"],
+)
+def test_identify_splits_merged_cnot_signatures(layer_kwargs, identify_seed):
+    # Control and target means lie within the clustering slack, so they
+    # pool into one signature and the first inversion finds no candidate.
+    layer = random_layer(**layer_kwargs, min_component=0.15)
+    report = identify_layer(layer, seed=identify_seed)
+    _assert_full_and_true(layer, report)
+    assert any("exact means" in note for note in report.notes)
+
+
+#: SHA-256 of the canonical report bytes of fixed layers, recorded with the
+#: per-track simulator and thread-pool engine that preceded the role-level
+#: ones. Performance work on the engine or the probes must keep these bytes.
+PINNED_REPORTS = {
+    "narrow": (
+        dict(num_tracks=6, num_cnots=2, seed=31, min_component=0.15),
+        dict(seed=41, trials=100_000),
+        "2763eb5a3f7df3c1b3c656cb6e76882b6e07460d39d0cc7f20b57936159ce7f7",
+    ),
+    "48-tracks": (
+        dict(num_tracks=48, num_cnots=6, seed=32, min_component=0.15),
+        dict(seed=42, trials=50_000),
+        "96510ded134a3f1a28a068b07be11d071f58f4638ebc45d6e0e1ba415f90f495",
+    ),
+    "noisy-shots": (
+        dict(num_tracks=16, num_cnots=2, seed=33, min_component=0.15, noise=(0.05, 0.1)),
+        dict(seed=43, trials=20_000, shots=1000),
+        "b66d3008a3589263d073d0dd44176f91ec03c0f31df0fb4b75059c3ed40d445a",
+    ),
+    "clean-shots": (
+        dict(num_tracks=8, num_cnots=2, seed=34, min_component=0.2),
+        dict(seed=44, trials=100_000, shots=1000),
+        "a6bc97d15c2316d9a9fd63f621781a2f88dd5d73142c6e1f94f107fab2085f0e",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_report_bytes_are_pinned(name):
+    layer_kwargs, identify_kwargs, digest = PINNED_REPORTS[name]
+    report = identify_layer(random_layer(**layer_kwargs), **identify_kwargs)
+    text = dumps_canonical(report_to_json_dict(report))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_protocol_report_invariants():
