@@ -6,10 +6,11 @@ two-state basis shared by the whole layer; in computational coordinates a
 single-qubit gate is B U B^dag and the CNOT is (B x B) U_CN (B x B)^dag,
 where B has the hidden kets as columns.
 
-Two noise knobs act per run: with probability p the (joint) input of a track
-or CNOT pair is replaced by white noise, and with probability q a CNOT acts
-as the identity. Single runs are simulated as exact mixtures over the noise
-branches.
+A layer carries two noise knobs: with probability p the (joint) input of a
+track or CNOT pair is replaced by white noise, and with probability q a CNOT
+acts as the identity. Only the randomized trial engine
+(``texlab.protocol.run_protocol``) models them; the probe simulator here,
+``run_layer_with_inputs``, is noise-free.
 """
 
 from __future__ import annotations
@@ -20,22 +21,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_complex_matrix, as_ket, kron, partial_trace
+from .linalg import as_ket, kron, partial_trace
 from .serialize import parse_complex_field
-from .states import HaarQubitSample, QubitBasis, ket_in_basis
+from .states import QubitBasis
 
 __all__ = [
     "GateKind",
     "SingleGate",
     "CnotGate",
     "CircuitLayer",
-    "TrackOutput",
     "QubitBasis",
     "standard_gate_matrix",
     "gate_matrix",
-    "run_layer",
     "run_layer_with_inputs",
-    "measure_grand_sums",
     "layer_to_json_dict",
     "layer_from_json_dict",
 ]
@@ -59,9 +57,6 @@ _STANDARD_SINGLE = {
     GateKind.T: np.diag([1.0, np.exp(1j * np.pi / 4)]).astype(np.complex128),
     GateKind.S: np.diag([1.0, 1j]).astype(np.complex128),
 }
-
-_EYE2 = np.eye(2, dtype=np.complex128)
-_EYE4 = np.eye(4, dtype=np.complex128)
 
 _STANDARD_CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
@@ -203,40 +198,14 @@ class CircuitLayer:
         return out
 
 
-@dataclass(frozen=True)
-class TrackOutput:
-    """Reduced output state of one track."""
-
-    track: int
-    rho: np.ndarray
-
-    def __post_init__(self):
-        m = as_complex_matrix(self.rho, name="rho")
-        if m.shape != (2, 2):
-            raise ValueError(f"rho: expected shape (2, 2), got {m.shape}")
-        m.setflags(write=False)
-        object.__setattr__(self, "rho", m)
-
-
-def run_layer(layer: CircuitLayer, sample: HaarQubitSample) -> list[TrackOutput]:
-    """Exact reduced output of every track for one randomized run.
-
-    The same input ket (the sample expressed in the hidden basis) enters
-    every track; noise branches are averaged exactly. The white-noise event
-    is shared by the tracks of one run, so a CNOT pair's noisy joint input is
-    (1-p) |psi psi><psi psi| + p I/4.
-    """
-    psi = ket_in_basis(sample, layer.hidden_basis)
-    n = layer.num_tracks
-    return _run_layer_on_kets(layer, [psi] * n, range(n), layer.noise)
-
-
-def run_layer_with_inputs(layer: CircuitLayer, kets, tracks=None) -> list[TrackOutput]:
+def run_layer_with_inputs(layer: CircuitLayer, kets, tracks=None) -> list[np.ndarray]:
     """Deterministic, noise-free run with a chosen input ket per track.
 
     Probe semantics: noise knobs are ignored, inputs are taken as given.
-    Every ket is validated; only the outputs of ``tracks`` (default: all
-    tracks, in order) are computed and returned, in the order given.
+    Every ket is validated; only the reduced output states (read-only 2x2
+    arrays) of ``tracks`` (default: all tracks, in order) are computed and
+    returned, in the order given. Each (role, input ket object) state is
+    computed once, and the tracks that hold it share the array.
     """
     kets = list(kets)
     if len(kets) != layer.num_tracks:
@@ -253,15 +222,6 @@ def run_layer_with_inputs(layer: CircuitLayer, kets, tracks=None) -> list[TrackO
     bad = [t for t in tracks if not 0 <= t < layer.num_tracks]
     if bad:
         raise ValueError(f"tracks: {bad} out of range for {layer.num_tracks} tracks")
-    return _run_layer_on_kets(layer, kets, tracks, (0.0, 0.0))
-
-
-def _run_layer_on_kets(
-    layer: CircuitLayer, kets: list, tracks, noise: tuple[float, float]
-) -> list[TrackOutput]:
-    """Outputs of ``tracks``; each (role, input ket object) state is
-    computed once and shared by the tracks that hold it."""
-    p, q = noise
     mats = layer.gate_matrices
     roles = layer.track_roles
     states: dict[tuple, np.ndarray] = {}
@@ -275,64 +235,18 @@ def _run_layer_on_kets(
         rho = states.get(key)
         if rho is None:
             if pair is None:
-                u = mats[kind]
-                ket = kets[track]
-                pure = np.outer(u @ ket, (u @ ket).conj())
-                rho = (1.0 - p) * pure + p * _EYE2 / 2.0
+                out = mats[kind] @ kets[track]
+                rho = np.outer(out, out.conj())
             else:
                 u4 = mats[GateKind.CNOT]
                 # np.kron's products, bit for bit, at a fraction of its cost
                 joint_ket = np.outer(kets[pair[0]], kets[pair[1]]).reshape(4)
-                joint_in = (1.0 - p) * np.outer(joint_ket, joint_ket.conj()) + p * _EYE4 / 4.0
-                gated = u4 @ joint_in @ u4.conj().T
-                joint_out = (1.0 - q) * gated + q * joint_in
-                rho = partial_trace(joint_out, (2, 2), keep=side)
+                joint_in = np.outer(joint_ket, joint_ket.conj())
+                rho = partial_trace(u4 @ joint_in @ u4.conj().T, (2, 2), keep=side)
+            rho.setflags(write=False)
             states[key] = rho
-        outputs.append(TrackOutput(track=track, rho=rho))
+        outputs.append(rho)
     return outputs
-
-
-def _sigma_computational(rho: np.ndarray) -> float:
-    return float(rho.sum().real)
-
-
-def _sigma_fourier(rho: np.ndarray) -> float:
-    return float(2.0 * rho[0, 0].real)
-
-
-def measure_grand_sums(
-    outputs,
-    basis: str,
-    *,
-    shots: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> list[float]:
-    """Grand sums of track outputs in the chosen measurement basis.
-
-    ``basis`` is "computational" (sum of all entries) or "fourier" (the
-    grand sum of the state rotated to the Fourier basis, which for a qubit is
-    twice the first diagonal entry). With ``shots`` set, each value is
-    replaced by a binomial estimate of the projective probability times the
-    dimension, using ``rng``.
-    """
-    if basis == "computational":
-        sigma_of = _sigma_computational
-    elif basis == "fourier":
-        sigma_of = _sigma_fourier
-    else:
-        raise ValueError(f"basis: expected 'computational' or 'fourier', got {basis!r}")
-    values = []
-    for out in outputs:
-        sigma = sigma_of(out.rho)
-        if shots is not None:
-            if shots < 1:
-                raise ValueError(f"shots: must be a positive integer, got {shots}")
-            if rng is None:
-                raise ValueError("rng: required when shots is set")
-            prob = min(1.0, max(0.0, sigma / 2.0))
-            sigma = 2.0 * rng.binomial(shots, prob) / shots
-        values.append(float(sigma))
-    return values
 
 
 _KIND_BY_NAME = {kind.value: kind for kind in GateKind}

@@ -22,7 +22,6 @@ against the dictionary {I, H, T, S}.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -138,19 +137,6 @@ class TrackStats:
         return max(abs(self.x_like - 1.0), abs(self.y_like - 1.0))
 
 
-def _thread_count() -> int:
-    env = os.environ.get("TEXLAB_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError(f"TEXLAB_THREADS: expected an integer, got {env!r}") from None
-        if n < 1:
-            raise ValueError(f"TEXLAB_THREADS: must be >= 1, got {n}")
-        return n
-    return min(8, os.cpu_count() or 1)
-
-
 def master_generator(seed: int) -> np.random.Generator:
     """Counter-based generator keyed by the master seed.
 
@@ -187,14 +173,12 @@ def run_protocol(
 
     All tracks of one role (gate kind, CNOT control, CNOT target) see the
     same values, so each role is simulated once and its tracks share the
-    moments; binomials are still drawn per track. The engine runs on one
-    thread: TEXLAB_THREADS is validated but changes nothing.
+    moments; binomials are still drawn per track.
     """
     if trials < 1:
         raise ValueError(f"trials: must be a positive integer, got {trials}")
     if shots is not None and shots < 1:
         raise ValueError(f"shots: must be a positive integer, got {shots}")
-    _thread_count()
     psi = _trial_kets(layer.hidden_basis, seed, trials)
     p, q = layer.noise
     mats = layer.gate_matrices
@@ -226,7 +210,11 @@ def run_protocol(
 
 
 def _trial_kets(basis: QubitBasis, seed: int, trials: int) -> np.ndarray:
-    """(trials, 2) computational-coordinate input kets of the trials."""
+    """(trials, 2) computational-coordinate input kets of the trials.
+
+    Trial t is cos(theta/2)|+> + e^{i phi} sin(theta/2)|-> in ``basis``,
+    with cos(theta) = 1 - 2u and phi = 2 pi u' for its uniforms (u, u').
+    """
     gen = master_generator(seed)
     u = gen.random(size=(trials, 2))
     cos_theta = 1.0 - 2.0 * u[:, 0]
@@ -509,7 +497,7 @@ def _product_test_min_fidelity(
     layer: CircuitLayer, plus: np.ndarray, tracks
 ) -> float:
     outs = run_layer_with_inputs(layer, [plus] * layer.num_tracks, tracks=tracks)
-    return min(_track_fidelity(out.rho, plus) for out in outs)
+    return min(_track_fidelity(rho, plus) for rho in outs)
 
 
 def _polish_candidate(
@@ -533,7 +521,7 @@ def _polish_candidate(
         v0 = v.copy()
         converged = False
         for _ in range(60):
-            rho = run_layer_with_inputs(layer, [v] * n, tracks=[probe])[0].rho
+            rho = run_layer_with_inputs(layer, [v] * n, tracks=[probe])[0]
             w = principal_eigenvector(rho)
             overlap = np.vdot(v, w)
             if abs(overlap) > 1e-12:
@@ -629,7 +617,7 @@ def pairing_probe(
         flips = [
             u
             for u in range(n)
-            if u != track and _track_fidelity(outs[u].rho, minus) >= PASS_FIDELITY
+            if u != track and _track_fidelity(outs[u], minus) >= PASS_FIDELITY
         ]
         if len(flips) > 1:
             raise IdentificationError(
@@ -671,7 +659,7 @@ def _pin_basis_phase(
         kets = [plus] * n
         kets[control] = s_state
         kets[target] = target_ket
-        rho = run_layer_with_inputs(layer, kets, tracks=[control])[0].rho
+        rho = run_layer_with_inputs(layer, kets, tracks=[control])[0]
         return float(np.real(plus.conj() @ rho @ minus))
 
     cos_term = 2.0 * coherence(s_state)
@@ -684,7 +672,7 @@ def _pin_basis_phase(
     kets = [check_plus] * n
     kets[control] = (check_plus + check_minus) / np.sqrt(2.0)
     kets[target] = (check_plus + check_minus) / np.sqrt(2.0)
-    rho = run_layer_with_inputs(layer, kets, tracks=[control])[0].rho
+    rho = run_layer_with_inputs(layer, kets, tracks=[control])[0]
     residual = abs(complex(check_plus.conj() @ rho @ check_minus) - 0.5)
     if residual > 1e-9:
         raise IdentificationError(
@@ -723,7 +711,7 @@ def classify_single_qubit_gates(
         kets = []
         pure = True
         for out in outputs:
-            rho = out[index].rho
+            rho = out[index]
             purity = float(np.real(np.trace(rho @ rho)))
             if purity < 1.0 - 1e-10:
                 pure = False

@@ -1,5 +1,8 @@
 """State constructions: Fourier kets, density operators, Bloch coordinates,
-Haar-random qubits, and two-state reference bases.
+and two-state reference bases.
+
+The Haar-random trial inputs of the identification protocol are drawn in
+``texlab.protocol``, directly as arrays of kets.
 """
 
 from __future__ import annotations
@@ -133,54 +136,6 @@ def bloch_of(rho: DensityOperator) -> BlochVector:
 
 
 @dataclass(frozen=True)
-class HaarQubitSample:
-    """Haar-random pure qubit drawn as polar angles.
-
-    theta in [0, pi] with cos(theta) uniform on [-1, 1]; phi uniform on
-    [0, 2*pi). The ket relative to a reference basis (|+>, |->) is
-    cos(theta/2) |+> + exp(i*phi) sin(theta/2) |->.
-    """
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= np.pi:
-            raise ValueError(f"theta: must lie in [0, pi], got {self.theta!r}")
-        if not 0.0 <= self.phi < 2.0 * np.pi:
-            raise ValueError(f"phi: must lie in [0, 2*pi), got {self.phi!r}")
-
-    @property
-    def amplitude_plus(self) -> float:
-        """Real amplitude on the |+> reference ket."""
-        return float(np.cos(self.theta / 2.0))
-
-    @property
-    def amplitude_minus(self) -> complex:
-        """Complex amplitude on the |-> reference ket."""
-        return complex(np.exp(1j * self.phi) * np.sin(self.theta / 2.0))
-
-
-def sample_haar_angles(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized draw of ``count`` Haar qubit angle pairs (theta, phi).
-
-    Consumes exactly two uniforms per sample, in sample order.
-    """
-    if count < 0:
-        raise ValueError(f"count: must be non-negative, got {count}")
-    u = rng.random(size=(count, 2))
-    theta = np.arccos(1.0 - 2.0 * u[:, 0])
-    phi = 2.0 * np.pi * u[:, 1]
-    return theta, phi
-
-
-def sample_haar_qubit(rng: np.random.Generator) -> HaarQubitSample:
-    """Draw a single Haar-random qubit sample."""
-    theta, phi = sample_haar_angles(rng, 1)
-    return HaarQubitSample(theta=float(theta[0]), phi=float(phi[0]))
-
-
-@dataclass(frozen=True)
 class QubitBasis:
     """Orthonormal two-state basis |+> = alpha|1> + beta|2>,
     |-> = conj(beta)|1> - conj(alpha)|2>.
@@ -231,13 +186,6 @@ class QubitBasis:
         if v.shape != (2,):
             raise ValueError(f"plus ket: expected length 2, got {v.shape}")
         return cls(alpha=complex(v[0]), beta=complex(v[1]))
-
-
-def ket_in_basis(sample: HaarQubitSample, basis: QubitBasis) -> np.ndarray:
-    """Computational-coordinate ket of ``sample`` drawn relative to ``basis``."""
-    a = sample.amplitude_plus
-    b = sample.amplitude_minus
-    return a * basis.plus_ket() + b * basis.minus_ket()
 
 
 def basis_distance(a: QubitBasis, b: QubitBasis) -> float:

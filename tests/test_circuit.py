@@ -13,12 +13,11 @@ from texlab.circuit import (
     gate_matrix,
     layer_from_json_dict,
     layer_to_json_dict,
-    measure_grand_sums,
-    run_layer,
     run_layer_with_inputs,
     standard_gate_matrix,
 )
-from texlab.states import HaarQubitSample, QubitBasis, fourier_matrix, ket_in_basis
+from texlab.protocol import master_generator, run_protocol
+from texlab.states import QubitBasis, fourier_matrix
 
 
 def _random_basis(rng: np.random.Generator) -> QubitBasis:
@@ -130,16 +129,16 @@ def test_run_layer_with_inputs_matches_direct_matrix_computation():
 
     s = gate_matrix(GateKind.S, basis)
     expected1 = np.outer(s @ kets[1], (s @ kets[1]).conj())
-    np.testing.assert_allclose(outs[1].rho, expected1, atol=1e-12)
+    np.testing.assert_allclose(outs[1], expected1, atol=1e-12)
 
     cn = gate_matrix(GateKind.CNOT, basis)
     joint = cn @ np.kron(kets[0], kets[2])
     joint_rho = np.outer(joint, joint.conj()).reshape(2, 2, 2, 2)
     np.testing.assert_allclose(
-        outs[0].rho, np.einsum("ikjk->ij", joint_rho), atol=1e-12
+        outs[0], np.einsum("ikjk->ij", joint_rho), atol=1e-12
     )
     np.testing.assert_allclose(
-        outs[2].rho, np.einsum("kikj->ij", joint_rho), atol=1e-12
+        outs[2], np.einsum("kikj->ij", joint_rho), atol=1e-12
     )
 
 
@@ -156,59 +155,9 @@ def test_run_layer_with_inputs_ignores_noise_knobs():
     )
     kets = [basis.plus_ket(), basis.minus_ket()]
     for a, b in zip(run_layer_with_inputs(noisy, kets), run_layer_with_inputs(clean, kets)):
-        np.testing.assert_allclose(a.rho, b.rho, atol=1e-15)
+        np.testing.assert_allclose(a, b, atol=1e-15)
     with pytest.raises(ValueError, match="kets"):
         run_layer_with_inputs(clean, [basis.plus_ket()])
-
-
-def test_run_layer_matches_with_inputs_when_noise_free():
-    rng = np.random.default_rng(63)
-    basis = _random_basis(rng)
-    layer = CircuitLayer(
-        num_tracks=2,
-        hidden_basis=basis,
-        gates=(CnotGate(control=1, target=0),),
-    )
-    sample = HaarQubitSample(theta=1.2, phi=0.7)
-    psi = ket_in_basis(sample, basis)
-    direct = run_layer(layer, sample)
-    via_inputs = run_layer_with_inputs(layer, [psi, psi])
-    for a, b in zip(direct, via_inputs):
-        np.testing.assert_allclose(a.rho, b.rho, atol=1e-12)
-
-
-def test_run_layer_noise_is_an_exact_mixture():
-    rng = np.random.default_rng(64)
-    basis = _random_basis(rng)
-    p, q = 0.2, 0.3
-    sample = HaarQubitSample(theta=0.9, phi=2.5)
-    psi = ket_in_basis(sample, basis)
-
-    single_layer = CircuitLayer(
-        num_tracks=1,
-        hidden_basis=basis,
-        gates=(SingleGate(kind=GateKind.HADAMARD, track=0),),
-        noise=(p, 0.0),
-    )
-    h = gate_matrix(GateKind.HADAMARD, basis)
-    pure = np.outer(h @ psi, (h @ psi).conj())
-    expected = (1.0 - p) * pure + p * np.eye(2) / 2.0
-    np.testing.assert_allclose(run_layer(single_layer, sample)[0].rho, expected, atol=1e-12)
-
-    cnot_layer = CircuitLayer(
-        num_tracks=2,
-        hidden_basis=basis,
-        gates=(CnotGate(control=0, target=1),),
-        noise=(p, q),
-    )
-    cn = gate_matrix(GateKind.CNOT, basis)
-    joint_ket = np.kron(psi, psi)
-    joint_in = (1.0 - p) * np.outer(joint_ket, joint_ket.conj()) + p * np.eye(4) / 4.0
-    joint_out = (1.0 - q) * (cn @ joint_in @ cn.conj().T) + q * joint_in
-    t = joint_out.reshape(2, 2, 2, 2)
-    outs = run_layer(cnot_layer, sample)
-    np.testing.assert_allclose(outs[0].rho, np.einsum("ikjk->ij", t), atol=1e-12)
-    np.testing.assert_allclose(outs[1].rho, np.einsum("kikj->ij", t), atol=1e-12)
 
 
 def _per_track_outputs(layer, kets, noise):
@@ -268,16 +217,22 @@ def test_run_layer_with_inputs_is_exact_per_track_and_per_subset():
     subsets = [[4], [3, 0], [7, 2, 2, 8], list(range(n))[::-1], []]
     for kets in (distinct, pairing, shared, copies):
         full = run_layer_with_inputs(layer, kets)
-        assert [out.track for out in full] == list(range(n))
-        for out, expected in zip(full, _per_track_outputs(layer, kets, (0.0, 0.0))):
-            np.testing.assert_array_equal(out.rho, expected)
+        expected = _per_track_outputs(layer, kets, (0.0, 0.0))
+        assert len(full) == len(expected) == n
+        for rho, ref in zip(full, expected):
+            assert rho.shape == (2, 2) and not rho.flags.writeable
+            np.testing.assert_array_equal(rho, ref)
         for subset in subsets:
             part = run_layer_with_inputs(layer, kets, tracks=subset)
-            assert [out.track for out in part] == subset
-            for out in part:
-                np.testing.assert_array_equal(out.rho, full[out.track].rho)
+            assert len(part) == len(subset)
+            for track, rho in zip(subset, part):
+                np.testing.assert_array_equal(rho, full[track])
     for a, b in zip(run_layer_with_inputs(layer, shared), run_layer_with_inputs(layer, copies)):
-        np.testing.assert_array_equal(a.rho, b.rho)
+        np.testing.assert_array_equal(a, b)
+    # One array per (role, input ket object), shared by the tracks holding it.
+    full = run_layer_with_inputs(layer, shared)
+    assert full[2] is full[9] and full[5] is full[7]
+    assert full[0] is full[8] and full[3] is full[1] and full[0] is not full[3]
 
     bad = list(pairing)
     bad[5] = np.array([1.0, 1.0])
@@ -287,17 +242,52 @@ def test_run_layer_with_inputs_is_exact_per_track_and_per_subset():
         run_layer_with_inputs(layer, pairing, tracks=[n])
 
 
-def test_run_layer_on_shared_roles_equals_the_noisy_mixture():
-    rng = np.random.default_rng(68)
-    basis = _random_basis(rng)
-    noise = (0.2, 0.3)
-    layer = _role_layer(basis, noise=noise)
-    sample = HaarQubitSample(theta=0.9, phi=2.5)
-    psi = ket_in_basis(sample, basis)
-    outs = run_layer(layer, sample)
-    expected = _per_track_outputs(layer, [psi] * layer.num_tracks, noise)
-    for out, rho in zip(outs, expected):
-        np.testing.assert_array_equal(out.rho, rho)
+def _trial_ket(basis, u):
+    """Trial input drawn from two uniforms: cos(theta/2)|+> + e^{i phi}
+    sin(theta/2)|->, with cos(theta) = 1 - 2 u[0] and phi = 2 pi u[1]."""
+    theta = np.arccos(1.0 - 2.0 * u[0])
+    return np.cos(theta / 2.0) * basis.plus_ket() + np.exp(
+        2j * np.pi * u[1]
+    ) * np.sin(theta / 2.0) * basis.minus_ket()
+
+
+def _reference_grand_sums(layer, psi):
+    """Per track, (computational, Fourier) grand sums of the exact noisy
+    output for input ``psi`` on every track."""
+    f = fourier_matrix(2)
+    rhos = _per_track_outputs(layer, [psi] * layer.num_tracks, layer.noise)
+    return [(rho.sum().real, (f.conj().T @ rho @ f).sum().real) for rho in rhos]
+
+
+@pytest.mark.parametrize("noise", [(0.0, 0.0), (0.2, 0.3)])
+def test_trial_engine_values_equal_the_exact_per_track_outputs(noise):
+    rng = np.random.default_rng(70)
+    for seed in range(16):
+        layer = _role_layer(_random_basis(rng), noise=noise)
+        u = master_generator(seed).random(size=(1, 2))[0]
+        expected = _reference_grand_sums(layer, _trial_ket(layer.hidden_basis, u))
+        stats = run_protocol(layer, seed=seed, trials=1)
+        assert [s.track for s in stats] == list(range(layer.num_tracks))
+        for stat, (x, y) in zip(stats, expected):
+            assert abs(stat.x_like - x) <= 1e-12
+            assert abs(stat.y_like - y) <= 1e-12
+            assert stat.stderr_x == stat.stderr_y == 0.0
+
+    # Trial t consumes the stream's uniforms 2t and 2t+1, in order.
+    trials, seed = 64, 71
+    layer = _role_layer(_random_basis(rng), noise=noise)
+    uniforms = master_generator(seed).random(size=(trials, 2))
+    per_trial = np.array(
+        [_reference_grand_sums(layer, _trial_ket(layer.hidden_basis, u)) for u in uniforms]
+    )
+    means = per_trial.mean(axis=0)
+    stderrs = per_trial.std(axis=0, ddof=1) / np.sqrt(trials)
+    stats = run_protocol(layer, seed=seed, trials=trials)
+    for stat, mean, stderr in zip(stats, means, stderrs):
+        np.testing.assert_allclose([stat.x_like, stat.y_like], mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            [stat.stderr_x, stat.stderr_y], stderr, rtol=0, atol=1e-12
+        )
 
 
 def test_layer_gate_matrices_are_built_once_and_read_only():
@@ -311,45 +301,6 @@ def test_layer_gate_matrices_are_built_once_and_read_only():
     assert layer.track_roles[0] == (GateKind.CNOT, 0, (0, 3))
     assert layer.track_roles[3] == (GateKind.CNOT, 1, (0, 3))
     assert layer.track_roles[7] == (GateKind.IDENTITY, None, None)
-
-
-def test_measure_grand_sums_both_bases():
-    rng = np.random.default_rng(65)
-    basis = _random_basis(rng)
-    layer = CircuitLayer(num_tracks=2, hidden_basis=basis)
-    kets = [basis.plus_ket(), basis.minus_ket()]
-    outs = run_layer_with_inputs(layer, kets)
-
-    comp = measure_grand_sums(outs, "computational")
-    four = measure_grand_sums(outs, "fourier")
-    f = fourier_matrix(2)
-    for value_c, value_f, out in zip(comp, four, outs):
-        np.testing.assert_allclose(value_c, out.rho.sum().real, atol=1e-12)
-        rotated = f.conj().T @ out.rho @ f
-        np.testing.assert_allclose(value_f, rotated.sum().real, atol=1e-12)
-
-    with pytest.raises(ValueError, match="basis"):
-        measure_grand_sums(outs, "diagonal")
-
-
-def test_measure_grand_sums_shot_mode():
-    basis = QubitBasis.computational()
-    layer = CircuitLayer(num_tracks=1, hidden_basis=basis)
-    outs = run_layer_with_inputs(layer, [np.array([1.0, 0.0])])
-    values_a = measure_grand_sums(
-        outs, "computational", shots=400, rng=np.random.default_rng(7)
-    )
-    values_b = measure_grand_sums(
-        outs, "computational", shots=400, rng=np.random.default_rng(7)
-    )
-    assert values_a == values_b
-    assert 0.0 <= values_a[0] <= 2.0
-    exact = measure_grand_sums(outs, "computational")[0]
-    assert abs(values_a[0] - exact) < 0.3
-    with pytest.raises(ValueError, match="shots"):
-        measure_grand_sums(outs, "computational", shots=0, rng=np.random.default_rng(7))
-    with pytest.raises(ValueError, match="rng"):
-        measure_grand_sums(outs, "computational", shots=10)
 
 
 def test_layer_json_round_trip():

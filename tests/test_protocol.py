@@ -14,7 +14,6 @@ from texlab.circuit import (
     CnotGate,
     GateKind,
     SingleGate,
-    measure_grand_sums,
     run_layer_with_inputs,
 )
 from texlab.protocol import (
@@ -38,7 +37,7 @@ from texlab.protocol import (
     stats_to_csv,
 )
 from texlab.serialize import dumps_canonical
-from texlab.states import HaarQubitSample, QubitBasis, basis_distance, ket_in_basis
+from texlab.states import QubitBasis, basis_distance
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -91,7 +90,7 @@ def test_expected_averages_balanced_real_basis():
 def test_expected_averages_match_quadrature_oracle():
     """Pin all four averages against direct Haar-measure quadrature.
 
-    The circuit engine is integrated over the input sphere with a
+    The probe simulator is integrated over the input sphere with a
     Gauss-Legendre rule in cos(theta) and a trapezoid rule in the phase;
     both integrands are low-order trigonometric polynomials, so the rule is
     exact to machine precision. This fixes every sign in the closed forms.
@@ -109,13 +108,17 @@ def test_expected_averages_match_quadrature_oracle():
     for u, w in zip(nodes, weights):
         theta = math.acos(float(u))
         for phi in phases:
-            sample = HaarQubitSample(theta=theta, phi=float(phi))
-            psi = ket_in_basis(sample, basis)
-            outs = run_layer_with_inputs(layer, [psi, psi])
-            comp = measure_grand_sums(outs, "computational")
-            four = measure_grand_sums(outs, "fourier")
+            psi = math.cos(theta / 2.0) * basis.plus_ket() + cmath.exp(
+                1j * phi
+            ) * math.sin(theta / 2.0) * basis.minus_ket()
+            control, target = run_layer_with_inputs(layer, [psi, psi])
             acc += (w / 2.0 / 32.0) * np.array(
-                [comp[0], comp[1], four[0], four[1]]
+                [
+                    control.sum().real,
+                    target.sum().real,
+                    2.0 * control[0, 0].real,
+                    2.0 * target[0, 0].real,
+                ]
             )
     np.testing.assert_allclose(acc, expected_averages(basis), atol=1e-9)
 
@@ -285,16 +288,6 @@ def test_thread_count_does_not_change_reports(monkeypatch):
         report = identify_layer(layer, seed=23, trials=40_000)
         texts.append(dumps_canonical(report_to_json_dict(report)))
     assert texts[0] == texts[1] == texts[2]
-
-
-def test_thread_count_env_validation(monkeypatch):
-    layer = CircuitLayer(num_tracks=1, hidden_basis=QubitBasis.computational())
-    monkeypatch.setenv("TEXLAB_THREADS", "zero")
-    with pytest.raises(ValueError, match="TEXLAB_THREADS"):
-        run_protocol(layer, seed=0, trials=10)
-    monkeypatch.setenv("TEXLAB_THREADS", "0")
-    with pytest.raises(ValueError, match="TEXLAB_THREADS"):
-        run_protocol(layer, seed=0, trials=10)
 
 
 # ---------------------------------------------------------------------------

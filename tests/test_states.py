@@ -8,16 +8,12 @@ import pytest
 from texlab.states import (
     BlochVector,
     DensityOperator,
-    HaarQubitSample,
     QubitBasis,
     basis_distance,
     bloch_of,
     fourier_ket,
     fourier_matrix,
-    ket_in_basis,
     qubit_from_bloch,
-    sample_haar_angles,
-    sample_haar_qubit,
 )
 
 
@@ -100,43 +96,6 @@ def test_bloch_of_requires_qubit():
         bloch_of(DensityOperator.maximally_mixed(3))
 
 
-def test_haar_sample_validation_and_amplitudes():
-    s = HaarQubitSample(theta=np.pi / 2, phi=np.pi)
-    np.testing.assert_allclose(s.amplitude_plus, np.cos(np.pi / 4))
-    np.testing.assert_allclose(
-        s.amplitude_minus, np.exp(1j * np.pi) * np.sin(np.pi / 4)
-    )
-    with pytest.raises(ValueError, match="theta"):
-        HaarQubitSample(theta=-0.1, phi=0.0)
-    with pytest.raises(ValueError, match="phi"):
-        HaarQubitSample(theta=0.1, phi=2.0 * np.pi)
-
-
-def test_sample_haar_angles_consumes_two_uniforms_per_sample():
-    rng_a = np.random.default_rng(32)
-    rng_b = np.random.default_rng(32)
-    theta, phi = sample_haar_angles(rng_a, 4)
-    u = rng_b.random(size=(4, 2))
-    np.testing.assert_allclose(theta, np.arccos(1.0 - 2.0 * u[:, 0]))
-    np.testing.assert_allclose(phi, 2.0 * np.pi * u[:, 1])
-    with pytest.raises(ValueError, match="count"):
-        sample_haar_angles(rng_a, -1)
-
-
-def test_sample_haar_angles_statistics():
-    rng = np.random.default_rng(33)
-    theta, phi = sample_haar_angles(rng, 50_000)
-    # cos(theta) uniform on [-1, 1]; phi uniform on [0, 2*pi).
-    assert abs(np.mean(np.cos(theta))) < 0.02
-    np.testing.assert_allclose(np.mean(phi), np.pi, atol=0.03)
-
-
-def test_sample_haar_qubit_returns_valid_sample():
-    s = sample_haar_qubit(np.random.default_rng(34))
-    assert 0.0 <= s.theta <= np.pi
-    assert 0.0 <= s.phi < 2.0 * np.pi
-
-
 def test_qubit_basis_kets_are_orthonormal():
     rng = np.random.default_rng(35)
     for _ in range(30):
@@ -169,15 +128,6 @@ def test_qubit_basis_constructors():
     assert again.beta == 0.8j
     with pytest.raises(ValueError, match="length 2"):
         QubitBasis.from_plus_ket(fourier_ket(3, 1))
-
-
-def test_ket_in_basis_matches_amplitudes():
-    basis = QubitBasis(alpha=0.6, beta=0.8j)
-    s = HaarQubitSample(theta=1.1, phi=2.2)
-    ket = ket_in_basis(s, basis)
-    expected = s.amplitude_plus * basis.plus_ket() + s.amplitude_minus * basis.minus_ket()
-    np.testing.assert_allclose(ket, expected, atol=1e-15)
-    np.testing.assert_allclose(np.linalg.norm(ket), 1.0, atol=1e-12)
 
 
 def test_basis_distance_mods_out_global_sign_only():
