@@ -183,8 +183,8 @@ def run_protocol(
     p, q = layer.noise
     mats = layer.gate_matrices
     roles = [(kind, side) for kind, side, _pair in layer.track_roles]
-    # (kind, side) -> per-trial (computational, Fourier) grand sums, reduced
-    # to their moments at once unless shots are drawn from them.
+    # (kind, side) -> the moments of its per-trial (computational, Fourier)
+    # grand sums, or with shots the binomial success probabilities sums / 2.
     values: dict[tuple, tuple] = {}
     for kind in dict.fromkeys(kind for kind, _side in roles):
         if kind is GateKind.CNOT:
@@ -192,7 +192,10 @@ def run_protocol(
         else:
             sides = [((kind, None), _single_values(psi, mats[kind], p))]
         for role, sums in sides:
-            values[role] = sums if shots is not None else _moments(*sums)
+            if shots is None:
+                values[role] = _moments(*sums)
+            else:
+                values[role] = tuple(np.clip(v / 2.0, 0.0, 1.0) for v in sums)
     if shots is None:
         return [
             TrackStats(track, *values[role], trials=trials)
@@ -201,10 +204,7 @@ def run_protocol(
     shot_gen = _shot_generator(seed)
     stats = []
     for track, role in enumerate(roles):
-        draws = [
-            2.0 * shot_gen.binomial(shots, np.clip(vals / 2.0, 0.0, 1.0)) / shots
-            for vals in values[role]
-        ]
+        draws = [2.0 * shot_gen.binomial(shots, prob) / shots for prob in values[role]]
         stats.append(TrackStats(track, *_moments(*draws), trials=trials))
     return stats
 
@@ -227,30 +227,52 @@ def _trial_kets(basis: QubitBasis, seed: int, trials: int) -> np.ndarray:
     return psi
 
 
-def _single_values(psi: np.ndarray, u2: np.ndarray, p: float) -> tuple:
+def _single_values(psi: np.ndarray, u2: np.ndarray, p: float) -> list:
     """Per-trial (computational, Fourier) grand sums of a single-qubit track."""
     out = psi @ u2.T
-    sc = np.abs(out[:, 0] + out[:, 1]) ** 2
-    sf = 2.0 * np.abs(out[:, 0]) ** 2
-    return (1.0 - p) * sc + p, (1.0 - p) * sf + p
+    sums = [np.abs(out[:, 0] + out[:, 1]) ** 2, 2.0 * np.abs(out[:, 0]) ** 2]
+    del out
+    return _noisy(sums, psi, p, 0.0)
 
 
 def _cnot_values(psi: np.ndarray, u4: np.ndarray, p: float, q: float) -> tuple:
     """Per-trial (computational, Fourier) grand sums of a CNOT control and
-    of its target. Temporaries die on return, which bounds peak memory."""
-    s_in_comp = np.abs(psi[:, 0] + psi[:, 1]) ** 2
-    s_in_four = 2.0 * np.abs(psi[:, 0]) ** 2
-    out = (np.einsum("ti,tj->tij", psi, psi).reshape(-1, 4) @ u4.T).reshape(-1, 2, 2)
-    sc_c = (np.abs(out.sum(axis=1)) ** 2).sum(axis=1)
-    sf_c = 2.0 * (np.abs(out[:, 0, :]) ** 2).sum(axis=1)
-    sc_t = (np.abs(out.sum(axis=2)) ** 2).sum(axis=1)
-    sf_t = 2.0 * (np.abs(out[:, :, 0]) ** 2).sum(axis=1)
+    of its target.
+
+    The output amplitudes o_k = <k|CNOT|psi psi> (k = 2 i + j) give every
+    sum as two-term column arithmetic, and the output is freed before the
+    noise mixture, which bounds peak memory.
+    """
+    out = np.einsum("ti,tj->tij", psi, psi).reshape(-1, 4) @ u4.T
+    o0, o1, o2, o3 = out.T
+    m0 = np.abs(o0) ** 2
+    sums = [
+        np.abs(o0 + o2) ** 2 + np.abs(o1 + o3) ** 2,
+        2.0 * (m0 + np.abs(o1) ** 2),
+        np.abs(o0 + o1) ** 2 + np.abs(o2 + o3) ** 2,
+        2.0 * (m0 + np.abs(o2) ** 2),
+    ]
+    del out, o0, o1, o2, o3, m0
+    sums = _noisy(sums, psi, p, q)
+    return sums[:2], sums[2:]
+
+
+def _noisy(sums: list, psi: np.ndarray, p: float, q: float) -> list:
+    """Exact per-run mixture of (computational, Fourier, ...) grand sums.
+
+    Input white noise p mixes in the maximally mixed state (grand sum 1 in
+    both bases); CNOT dropout q passes the input state through unchanged.
+    Without noise the mixture only adds exact zeros, so the sums are
+    returned as they are.
+    """
+    if not (p or q):
+        return sums
     keep = (1.0 - q) * (1.0 - p)
+    if not q:
+        return [keep * s + p for s in sums]
     drop = q * (1.0 - p)
-    return (
-        (keep * sc_c + drop * s_in_comp + p, keep * sf_c + drop * s_in_four + p),
-        (keep * sc_t + drop * s_in_comp + p, keep * sf_t + drop * s_in_four + p),
-    )
+    s_in = (np.abs(psi[:, 0] + psi[:, 1]) ** 2, 2.0 * np.abs(psi[:, 0]) ** 2)
+    return [keep * s + drop * s_in[i % 2] + p for i, s in enumerate(sums)]
 
 
 def _moments(x_vals: np.ndarray, y_vals: np.ndarray) -> tuple[float, float, float, float]:
@@ -614,11 +636,12 @@ def pairing_probe(
         kets = [plus] * n
         kets[track] = minus
         outs = run_layer_with_inputs(layer, kets)
-        flips = [
-            u
-            for u in range(n)
-            if u != track and _track_fidelity(outs[u], minus) >= PASS_FIDELITY
-        ]
+        # Tracks of one role and input share an output array; test it once.
+        flipped: dict[int, bool] = {}
+        for rho in outs:
+            if id(rho) not in flipped:
+                flipped[id(rho)] = _track_fidelity(rho, minus) >= PASS_FIDELITY
+        flips = [u for u in range(n) if u != track and flipped[id(outs[u])]]
         if len(flips) > 1:
             raise IdentificationError(
                 f"pairing probe on track {track}: several tracks flipped ({flips})"
@@ -919,8 +942,11 @@ def identify_layer(
 
     complete = [r for r in results if "unknown" not in r[3].values()]
     pool = complete or results
-    resolved = True
-    if len(pool) > 1:
+    resolved = len(pool) == 1
+    if not resolved:
+        # Preferring the one degenerate survivor is a guess, not a proof: an
+        # all-CNOT layer also has a coinciding-basis description with every
+        # pair swapped that explains each probe as well as the true one.
         degenerate = [r for r in pool if r[1].degenerate]
         if len(degenerate) == 1:
             pool = degenerate
@@ -929,7 +955,6 @@ def identify_layer(
                 "coinciding-basis description"
             )
         else:
-            resolved = False
             notes.append(
                 "several reconstructions explain all probes equally well; "
                 "reporting the first (the layer is observationally degenerate)"

@@ -21,6 +21,9 @@ from texlab.protocol import (
     IdentificationError,
     ProtocolReport,
     TrackStats,
+    _cnot_values,
+    _single_values,
+    _trial_kets,
     classify_single_qubit_gates,
     detect_cnot_tracks,
     detectability_margin,
@@ -281,6 +284,8 @@ def test_shot_mode_is_deterministic_and_consistent():
 
 
 def test_thread_count_does_not_change_reports(monkeypatch):
+    # TEXLAB_THREADS is no longer read, so this checks run-to-run byte
+    # reproducibility of the report, whatever the variable holds.
     layer = random_layer(num_tracks=4, num_cnots=1, seed=17, min_component=0.3)
     texts = []
     for threads in ("1", "4", "8"):
@@ -288,6 +293,65 @@ def test_thread_count_does_not_change_reports(monkeypatch):
         report = identify_layer(layer, seed=23, trials=40_000)
         texts.append(dumps_canonical(report_to_json_dict(report)))
     assert texts[0] == texts[1] == texts[2]
+
+
+def _single_values_reference(psi, u2, p):
+    # The former single-track kernel, kept verbatim as an exact oracle.
+    out = psi @ u2.T
+    sc = np.abs(out[:, 0] + out[:, 1]) ** 2
+    sf = 2.0 * np.abs(out[:, 0]) ** 2
+    return (1.0 - p) * sc + p, (1.0 - p) * sf + p
+
+
+def _cnot_values_reference(psi, u4, p, q):
+    # The former CNOT kernel (strided .sum(axis=...) reductions), kept
+    # verbatim as an exact oracle.
+    s_in_comp = np.abs(psi[:, 0] + psi[:, 1]) ** 2
+    s_in_four = 2.0 * np.abs(psi[:, 0]) ** 2
+    out = (np.einsum("ti,tj->tij", psi, psi).reshape(-1, 4) @ u4.T).reshape(-1, 2, 2)
+    sc_c = (np.abs(out.sum(axis=1)) ** 2).sum(axis=1)
+    sf_c = 2.0 * (np.abs(out[:, 0, :]) ** 2).sum(axis=1)
+    sc_t = (np.abs(out.sum(axis=2)) ** 2).sum(axis=1)
+    sf_t = 2.0 * (np.abs(out[:, :, 0]) ** 2).sum(axis=1)
+    keep = (1.0 - q) * (1.0 - p)
+    drop = q * (1.0 - p)
+    return (
+        (keep * sc_c + drop * s_in_comp + p, keep * sf_c + drop * s_in_four + p),
+        (keep * sc_t + drop * s_in_comp + p, keep * sf_t + drop * s_in_four + p),
+    )
+
+
+def _bits(arrays):
+    return [np.ascontiguousarray(a).view(np.uint64) for a in arrays]
+
+
+def test_engine_kernels_are_bit_identical_to_the_reference_kernels():
+    # Every per-trial value feeds the report digests, so the kernels must
+    # agree bit for bit, not within a tolerance: on noise-free runs, on each
+    # noise term alone and on both together, in generic and in
+    # min_component=0 bases.
+    rng = np.random.default_rng(2718)
+    for seed in range(120):
+        layer = random_layer(
+            num_tracks=2,
+            num_cnots=1,
+            seed=seed,
+            min_component=0.0 if seed % 2 else 0.15,
+        )
+        psi = _trial_kets(layer.hidden_basis, seed, 257)
+        mats = layer.gate_matrices
+        p, q = rng.random(2)
+        for noise in ((0.0, 0.0), (p, q), (p, 0.0), (0.0, q)):
+            got = _cnot_values(psi, mats[GateKind.CNOT], *noise)
+            want = _cnot_values_reference(psi, mats[GateKind.CNOT], *noise)
+            for side in (0, 1):
+                for g, w in zip(_bits(got[side]), _bits(want[side])):
+                    assert np.array_equal(g, w), (seed, noise, side)
+            for kind in (GateKind.IDENTITY, GateKind.HADAMARD, GateKind.T, GateKind.S):
+                got = _single_values(psi, mats[kind], noise[0])
+                want = _single_values_reference(psi, mats[kind], noise[0])
+                for g, w in zip(_bits(got), _bits(want)):
+                    assert np.array_equal(g, w), (seed, noise, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +517,39 @@ def test_pairing_probe_finds_pairs_in_any_probe_order():
     pairs, cleared = pairing_probe(layer, basis, [1, 2, 3, 0, 4])
     assert sorted(pairs) == [(0, 4), (3, 1)]
     assert cleared == [2]
+
+
+def test_pairing_probe_is_unchanged_when_outputs_are_not_shared(monkeypatch):
+    # pairing_probe tests each shared output array once; copying every
+    # track's array must give the same pairs, cleared tracks and errors.
+    import texlab.protocol as protocol
+
+    def outcome(layer, basis):
+        try:
+            return pairing_probe(layer, basis, range(layer.num_tracks))
+        except IdentificationError as exc:
+            return str(exc)
+
+    rng = np.random.default_rng(79)
+    cases = []
+    for seed in range(12):
+        layer = random_layer(num_tracks=9, num_cnots=1 + seed % 4, seed=seed)
+        # Hidden-basis H maps |+i> to |-i>: with that ray as |+>, every H
+        # track flips, which drives the error paths.
+        h_flip = layer.hidden_basis.matrix() @ np.array([SQ2, 1j * SQ2])
+        bases = (layer.hidden_basis, _random_basis(rng), QubitBasis.from_plus_ket(h_flip))
+        for basis in bases:
+            cases.append((layer, basis, outcome(layer, basis)))
+    assert any(isinstance(c[2], str) for c in cases)
+    assert any(not isinstance(c[2], str) and c[2][0] for c in cases)
+    shared = protocol.run_layer_with_inputs
+    monkeypatch.setattr(
+        protocol,
+        "run_layer_with_inputs",
+        lambda *a, **k: [rho.copy() for rho in shared(*a, **k)],
+    )
+    for layer, basis, expected in cases:
+        assert outcome(layer, basis) == expected
 
 
 def test_classify_single_qubit_gates_identifies_dictionary():
@@ -652,6 +749,18 @@ def test_identify_splits_merged_cnot_signatures(layer_kwargs, identify_seed):
     report = identify_layer(layer, seed=identify_seed)
     _assert_full_and_true(layer, report)
     assert any("exact means" in note for note in report.notes)
+
+
+def test_degenerate_tie_break_leaves_all_cnot_layer_partial():
+    # Every track is a CNOT and the true basis is a superposition one; the
+    # coinciding-basis description with all five pairs swapped explains every
+    # probe as well, so preferring it must not claim a unique reconstruction.
+    layer = random_layer(
+        num_tracks=10, num_cnots=5, seed=3744585488315152750, min_component=0.0
+    )
+    report = identify_layer(layer, seed=2765310290335372248)
+    assert report.status == "partial"
+    assert any("coinciding-basis" in note for note in report.notes)
 
 
 #: SHA-256 of the canonical report bytes of fixed layers, recorded with the
