@@ -59,6 +59,12 @@ BASIN_MIN_OVERLAP = 0.7
 #: Key tag of the derived stream used for shot-noise binomials.
 _SHOT_TAG = 0x53484F54
 
+#: Most trials per matrix product in the trial engine. OpenBLAS hands a
+#: product with m * n * k >= 65536 to worker threads, which then busy-wait
+#: between calls and take a core from everything else that runs; 2048 rows
+#: against a 4x4 gate stay on the calling thread.
+_MATMUL_ROWS = 2048
+
 
 class IdentificationError(RuntimeError):
     """Raised when the protocol cannot reach a consistent reconstruction."""
@@ -229,7 +235,7 @@ def _trial_kets(basis: QubitBasis, seed: int, trials: int) -> np.ndarray:
 
 def _single_values(psi: np.ndarray, u2: np.ndarray, p: float) -> list:
     """Per-trial (computational, Fourier) grand sums of a single-qubit track."""
-    out = psi @ u2.T
+    out = _matmul_rows(psi, u2.T)
     sums = [np.abs(out[:, 0] + out[:, 1]) ** 2, 2.0 * np.abs(out[:, 0]) ** 2]
     del out
     return _noisy(sums, psi, p, 0.0)
@@ -243,7 +249,7 @@ def _cnot_values(psi: np.ndarray, u4: np.ndarray, p: float, q: float) -> tuple:
     sum as two-term column arithmetic, and the output is freed before the
     noise mixture, which bounds peak memory.
     """
-    out = np.einsum("ti,tj->tij", psi, psi).reshape(-1, 4) @ u4.T
+    out = _matmul_rows(np.einsum("ti,tj->tij", psi, psi).reshape(-1, 4), u4.T)
     o0, o1, o2, o3 = out.T
     m0 = np.abs(o0) ** 2
     sums = [
@@ -255,6 +261,22 @@ def _cnot_values(psi: np.ndarray, u4: np.ndarray, p: float, q: float) -> tuple:
     del out, o0, o1, o2, o3, m0
     sums = _noisy(sums, psi, p, q)
     return sums[:2], sums[2:]
+
+
+def _matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` computed in near-equal blocks of at most ``_MATMUL_ROWS``
+    rows of ``a``, bit-identical to the whole product.
+
+    The blocks never hold a single row unless ``a`` does: numpy sends a
+    one-row product to gemv, which rounds differently from gemm.
+    """
+    n = a.shape[0]
+    blocks = max(1, -(-n // _MATMUL_ROWS))
+    out = np.empty((n, b.shape[1]), dtype=np.result_type(a, b))
+    for i in range(blocks):
+        rows = slice(n * i // blocks, n * (i + 1) // blocks)
+        np.matmul(a[rows], b, out=out[rows])
+    return out
 
 
 def _noisy(sums: list, psi: np.ndarray, p: float, q: float) -> list:

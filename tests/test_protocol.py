@@ -17,6 +17,8 @@ from texlab.circuit import (
     run_layer_with_inputs,
 )
 from texlab.protocol import (
+    _MATMUL_ROWS,
+    DEFAULT_TRIALS,
     CandidateBasis,
     IdentificationError,
     ProtocolReport,
@@ -352,6 +354,25 @@ def test_engine_kernels_are_bit_identical_to_the_reference_kernels():
                 want = _single_values_reference(psi, mats[kind], noise[0])
                 for g, w in zip(_bits(got), _bits(want)):
                     assert np.array_equal(g, w), (seed, noise, kind)
+
+
+@pytest.mark.parametrize("trials", [1, _MATMUL_ROWS, 2 * _MATMUL_ROWS + 1, DEFAULT_TRIALS])
+def test_row_blocked_products_match_whole_products_bit_for_bit(trials):
+    # The engine multiplies in blocks of _MATMUL_ROWS trials; the reference
+    # kernels multiply all trials at once (multithreaded at DEFAULT_TRIALS).
+    for seed in range(3):
+        layer = random_layer(num_tracks=2, num_cnots=1, seed=seed, min_component=0.0)
+        psi = _trial_kets(layer.hidden_basis, seed, trials)
+        mats = layer.gate_matrices
+        got = _cnot_values(psi, mats[GateKind.CNOT], 0.1, 0.2)
+        want = _cnot_values_reference(psi, mats[GateKind.CNOT], 0.1, 0.2)
+        for side in (0, 1):
+            for g, w in zip(_bits(got[side]), _bits(want[side])):
+                assert np.array_equal(g, w), (seed, side)
+        got = _single_values(psi, mats[GateKind.HADAMARD], 0.1)
+        want = _single_values_reference(psi, mats[GateKind.HADAMARD], 0.1)
+        for g, w in zip(_bits(got), _bits(want)):
+            assert np.array_equal(g, w), seed
 
 
 # ---------------------------------------------------------------------------
