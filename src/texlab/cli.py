@@ -13,7 +13,8 @@ Subcommands::
 
 Exit codes: 0 on success (for ``identify``: full reconstruction; for
 ``channel-audit``: channel certified free), 2 for a clean partial outcome
-(identification stopped early, channel not free), 1 on error. All JSON
+(identification stopped early, channel not free), 1 on error; ``identify``
+reports every well-formed layer, so it exits 1 only on invalid input. All JSON
 output is canonical: keys in fixed order, floats at 17 significant digits,
 non-finite values as quoted strings.
 """
@@ -37,7 +38,6 @@ from .paramagnet import paramagnet_csv, paramagnet_report
 from .protocol import (
     DEFAULT_TAU,
     DEFAULT_TRIALS,
-    IdentificationError,
     identify_layer,
     master_generator,
     random_layer,

@@ -67,7 +67,13 @@ _MATMUL_ROWS = 2048
 
 
 class IdentificationError(RuntimeError):
-    """Raised when the protocol cannot reach a consistent reconstruction."""
+    """Raised by a protocol stage given input it cannot work with.
+
+    ``disambiguate`` raises it for no candidates or no CNOT tracks, and the
+    probe stages (``pairing_probe``, phase pinning) for a basis the layer
+    contradicts. ``identify_layer`` rejects such a candidate with a note and
+    does not raise this error on a well-formed layer.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -585,19 +591,15 @@ def _polish_candidate(
 
 
 def disambiguate(
-    layer: CircuitLayer,
-    candidates,
-    cnot_tracks,
-    ambiguous_tracks=(),
-    *,
-    allow_multiple: bool = False,
+    layer: CircuitLayer, candidates, cnot_tracks, ambiguous_tracks=()
 ) -> list[CandidateBasis]:
     """Polish candidates and keep the ones whose |+> passes every detected
     CNOT track's product test at fidelity PASS_FIDELITY.
 
-    Returns the polished passing candidates (duplicates merged). By default
-    exactly one candidate must pass; with ``allow_multiple`` the caller is
-    expected to resolve survivors with pairing and gate classification.
+    Returns the polished passing candidates, duplicates merged; the list may
+    be empty, and several survivors are left for pairing and gate
+    classification to resolve. Raises IdentificationError only when
+    ``candidates`` or ``cnot_tracks`` is empty.
     """
     candidates = list(candidates)
     if not candidates:
@@ -623,14 +625,6 @@ def disambiguate(
                 break
         if not merged:
             passing.append(polished)
-    if not passing:
-        raise IdentificationError(
-            "no candidate basis passes the CNOT product test"
-        )
-    if len(passing) > 1 and not allow_multiple:
-        raise IdentificationError(
-            f"{len(passing)} candidate bases pass the CNOT product test"
-        )
     return passing
 
 
@@ -842,8 +836,13 @@ def identify_layer(
     averages, polished and selected by deterministic probes, controls are
     paired with targets, the basis phase is pinned, and the remaining tracks
     are classified. Status is "full" exactly when one reconstruction
-    explains everything; remaining ambiguities or unknown gates downgrade
-    the status to "partial".
+    explains everything and some track carries T or S; remaining
+    ambiguities or unknown gates downgrade the status to "partial".
+
+    Every well-formed layer gets a report: a stage that stops the pipeline
+    (no candidate basis, none passing the CNOT product test, every survivor
+    failing pairing or phase pinning) gives a "partial" report whose notes
+    say why. Invalid arguments raise ValueError.
     """
     stats = run_protocol(layer, seed=seed, trials=trials, shots=shots)
     detected, ambiguous = detect_cnot_tracks(stats, tau=tau)
@@ -909,12 +908,12 @@ def identify_layer(
                     "split by their exact means"
                 )
     if not candidates:
-        raise IdentificationError(
-            "no self-consistent candidate basis for the measured averages"
-        )
-    survivors = disambiguate(
-        layer, candidates, detected, ambiguous, allow_multiple=True
-    )
+        notes.append("no self-consistent candidate basis for the measured averages")
+        return report()
+    survivors = disambiguate(layer, candidates, detected, ambiguous)
+    if not survivors:
+        notes.append("no candidate basis passes the CNOT product test")
+        return report()
 
     results = []
     for index, cand in enumerate(survivors):
@@ -945,22 +944,8 @@ def identify_layer(
         results.append((index, pinned, pairs, gates))
 
     if not results:
-        raise IdentificationError(
-            "every candidate basis failed the deterministic probe stages"
-        )
-
-    deduped: list = []
-    for entry in results:
-        _, pinned, pairs, gates = entry
-        if any(
-            basis_distance(pinned.basis, kept[1].basis) < 1e-9
-            and sorted(pairs) == sorted(kept[2])
-            and gates == kept[3]
-            for kept in deduped
-        ):
-            continue
-        deduped.append(entry)
-    results = deduped
+        notes.append("every candidate basis failed the deterministic probe stages")
+        return report(candidates=survivors)
 
     complete = [r for r in results if "unknown" not in r[3].values()]
     pool = complete or results
@@ -991,6 +976,14 @@ def identify_layer(
         unknowns = sorted(t for t, g in gate_labels.items() if g == "unknown")
         notes.append(f"tracks {unknowns} match no dictionary gate")
     status = "full" if (classified_ok and resolved) else "partial"
+    if status == "full" and not {"T", "S"} & set(gate_labels.values()):
+        # I and H read the same in the partner basis (|+>+|->)/sqrt(2), in
+        # which every CNOT points the other way.
+        notes.append(
+            "no track carries T or S: the partner basis with every CNOT pair "
+            "reversed explains all probes equally well"
+        )
+        status = "partial"
 
     all_candidates = [
         chosen if i == chosen_index else cand for i, cand in enumerate(survivors)

@@ -231,6 +231,31 @@ def test_identify_noisy_layer_exits_partial(tmp_path, capsys):
     assert payload["selected"] is None
 
 
+def test_identify_stopped_pipeline_exits_partial(tmp_path, capsys):
+    # No candidate basis of this layer passes the CNOT product test.
+    layer_file = tmp_path / "layer.json"
+    out = tmp_path / "report.json"
+    args = ["--tracks", "6", "--cnots", "1", "--seed", "228701237429411232"]
+    assert main(["layer-gen", *args, "--out", str(layer_file)]) == 0
+    code = main(
+        [
+            "identify",
+            "--in",
+            str(layer_file),
+            "--seed",
+            "1160317256175659711",
+            "--trials",
+            "1000",
+            "--out",
+            str(out),
+        ]
+    )
+    assert code == 2
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["status"] == "partial"
+    assert report["notes"] == ["no candidate basis passes the CNOT product test"]
+
+
 def test_identify_rejects_malformed_layer(tmp_path, capsys):
     infile = _write_json(
         tmp_path / "bad_layer.json",

@@ -490,7 +490,7 @@ def test_disambiguate_keeps_true_ray_and_rejects_conjugate():
     candidates = recover_basis(expected_averages(basis))
     assert len(candidates) >= 2
     assert min(basis_distance(c.basis, conj) for c in candidates) <= 1e-9
-    survivors = disambiguate(layer, candidates, [0, 1], allow_multiple=True)
+    survivors = disambiguate(layer, candidates, [0, 1])
     overlaps = [
         abs(np.vdot(s.basis.plus_ket(), basis.plus_ket())) ** 2 for s in survivors
     ]
@@ -501,8 +501,7 @@ def test_disambiguate_keeps_true_ray_and_rejects_conjugate():
     # classification can reject it.
     for s in survivors:
         assert abs(np.vdot(s.basis.plus_ket(), conj.plus_ket())) ** 2 < 0.99
-    with pytest.raises(IdentificationError, match="pass the CNOT product test"):
-        disambiguate(layer, candidates, [0, 1])
+    assert len(survivors) > 1
 
 
 def test_disambiguate_error_paths():
@@ -519,8 +518,7 @@ def test_disambiguate_error_paths():
     wrong = CandidateBasis(
         basis=QubitBasis(alpha=0.8, beta=0.6j), sign_choice=(1, 1), swapped=False
     )
-    with pytest.raises(IdentificationError, match="product test"):
-        disambiguate(layer, [wrong], [0, 1])
+    assert disambiguate(layer, [wrong], [0, 1]) == []
 
 
 def test_pairing_probe_finds_pairs_in_any_probe_order():
@@ -782,6 +780,79 @@ def test_degenerate_tie_break_leaves_all_cnot_layer_partial():
     report = identify_layer(layer, seed=2765310290335372248)
     assert report.status == "partial"
     assert any("coinciding-basis" in note for note in report.notes)
+
+
+@pytest.mark.parametrize(
+    "layer_kwargs, identify_kwargs, note",
+    [
+        (
+            dict(num_tracks=7, num_cnots=3, seed=1826385270134425136, min_component=0.0),
+            dict(seed=568213223806699813, trials=1000),
+            "every candidate basis failed the deterministic probe stages",
+        ),
+        (
+            dict(num_tracks=6, num_cnots=1, seed=228701237429411232, min_component=0.0),
+            dict(seed=1160317256175659711, trials=1000),
+            "no candidate basis passes the CNOT product test",
+        ),
+        (
+            dict(num_tracks=4, num_cnots=1, seed=2015067597540557056, min_component=0.15),
+            dict(seed=1011864692939119172, trials=1000),
+            "no self-consistent candidate basis for the measured averages",
+        ),
+        (
+            dict(num_tracks=11, num_cnots=5, seed=1808766709436392787, min_component=0.0),
+            dict(seed=906513712844215081, trials=2000),
+            "no self-consistent candidate basis for the measured averages",
+        ),
+    ],
+    ids=["probe-stages", "product-test", "inversion", "eleven-tracks"],
+)
+def test_stopped_pipeline_reports_partial(layer_kwargs, identify_kwargs, note):
+    # Each of these layers made identify_layer raise IdentificationError.
+    report = identify_layer(random_layer(**layer_kwargs), **identify_kwargs)
+    assert report.status == "partial"
+    assert report.notes[-1] == note
+    assert report.selected is None
+    assert report.cnot_pairs == ()
+    # Survivors that failed pairing or pinning are still reported.
+    assert bool(report.candidates) == note.startswith("every candidate")
+
+
+def test_layer_without_t_or_s_is_not_full():
+    # Every track is a CNOT; the lone survivor is the partner basis, whose
+    # reversed pairs give the true layer operator but not its labelling.
+    layer = random_layer(
+        num_tracks=10, num_cnots=5, seed=795725469570861881, min_component=0.0
+    )
+    report = identify_layer(layer, seed=5613401646458158058, trials=4000)
+    assert report.status == "partial"
+    assert report.selected is not None
+    assert "no track carries T or S" in report.notes[-1]
+
+
+def test_seeded_sweep_never_raises_or_claims_a_wrong_full():
+    # Few tracks, min_component 0, shot noise and low trial counts. At seed
+    # 7 the earlier pipeline raised on five of these layers.
+    gen = np.random.default_rng(7)
+    for _ in range(150):
+        n = int(gen.integers(2, 13))
+        layer = random_layer(
+            num_tracks=n,
+            num_cnots=int(gen.integers(1, n // 2 + 1)),
+            seed=int(gen.integers(2**63)),
+            min_component=float(gen.choice([0.0, 0.15])),
+        )
+        report = identify_layer(
+            layer,
+            seed=int(gen.integers(2**63)),
+            trials=int(gen.choice([1000, 2000, 4000])),
+            shots=[None, 200, 1000][int(gen.integers(3))],
+        )
+        if report.status == "full":
+            _assert_full_and_true(layer, report)
+        else:
+            assert report.notes
 
 
 #: SHA-256 of the canonical report bytes of fixed layers, recorded with the
