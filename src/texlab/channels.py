@@ -264,7 +264,7 @@ def monotonicity_audit(channel: KrausChannel, rho: DensityOperator) -> Monotonic
     Mixed states are eigendecomposed and the pure-state gain is averaged with
     the eigenvalue weights (the grand sum is linear in the state).
     """
-    from .texture import grand_sum  # local import to avoid a cycle
+    from .texture import grand_sum  # per-call lookup: perfbench/tracing.py counts it
 
     sigma_before = grand_sum(rho)
     sigma_after = grand_sum(apply_channel(channel, rho))

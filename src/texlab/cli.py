@@ -47,7 +47,7 @@ from .protocol import (
 from .serialize import (
     ARTIFACT_VERSION,
     dumps_canonical,
-    format_float,
+    dumps_csv,
     parse_complex_field,
 )
 from .states import DensityOperator
@@ -118,18 +118,8 @@ def _cmd_texture(args: argparse.Namespace) -> int:
     if args.format == "json":
         _write_output(dumps_canonical(payload), args.out)
     else:
-        lines = ["dim,grand_sum,projective_probability,rugosity"]
-        lines.append(
-            ",".join(
-                [
-                    str(reading.dim),
-                    format_float(reading.grand_sum),
-                    format_float(reading.projective_probability),
-                    format_float(reading.rugosity),
-                ]
-            )
-        )
-        _write_output("\n".join(lines) + "\n", args.out)
+        columns = ["dim", "grand_sum", "projective_probability", "rugosity"]
+        _write_output(dumps_csv(columns, [[payload[c] for c in columns]]), args.out)
     return 0
 
 
@@ -141,6 +131,8 @@ def _random_density(gen: np.random.Generator, dim: int) -> DensityOperator:
 
 
 def _cmd_channel_audit(args: argparse.Namespace) -> int:
+    if args.states < 1:
+        raise ValueError(f"--states: must be a positive integer, got {args.states}")
     channel = channel_from_json_dict(_read_json(args.infile))
     certificate = texture_free_certificate(channel)
     gen = master_generator(args.seed)

@@ -21,7 +21,8 @@ import math
 
 import numpy as np
 
-from .serialize import ARTIFACT_VERSION, format_float
+from .protocol import master_generator
+from .serialize import ARTIFACT_VERSION, dumps_csv
 from .states import DensityOperator
 
 #: Relative tolerance at which the adaptive quadrature stops doubling.
@@ -141,8 +142,6 @@ def sampled_rugosity_per_spin(
     x = _validate_x(x)
     if samples < 2:
         raise ValueError(f"samples: must be at least 2, got {samples}")
-    from .protocol import master_generator
-
     gen = master_generator(seed)
     phase = 2.0 * math.pi * gen.random(samples)
     vals = _integrand(x, phase)
@@ -254,7 +253,5 @@ def paramagnet_csv(report: dict) -> str:
         "residual_paper",
         "residual_alt",
     ]
-    lines = [",".join(columns)]
-    for row in report["rows"]:
-        lines.append(",".join(format_float(row[name]) for name in columns))
-    return "\n".join(lines) + "\n"
+    rows = [[row[name] for name in columns] for row in report["rows"]]
+    return dumps_csv(columns, rows)

@@ -35,7 +35,7 @@ from .circuit import (
     standard_gate_matrix,
 )
 from .linalg import principal_eigenvector
-from .serialize import ARTIFACT_VERSION, format_float
+from .serialize import ARTIFACT_VERSION, dumps_csv
 from .states import QubitBasis, basis_distance
 
 DEFAULT_TRIALS = 100_000
@@ -80,20 +80,14 @@ class IdentificationError(RuntimeError):
 # expected averages and detection margins
 
 
-def _expected_averages_arrays(alpha, beta):
-    """Vectorized Haar-averaged grand sums (X, X~, Y, Y~) of a CNOT."""
-    alpha = np.asarray(alpha, dtype=np.complex128)
-    beta = np.asarray(beta, dtype=np.complex128)
+def expected_averages(basis: QubitBasis) -> tuple[float, float, float, float]:
+    """Haar-averaged grand sums (X, X~, Y, Y~) of a CNOT in ``basis``."""
+    alpha = np.asarray(basis.alpha, dtype=np.complex128)
+    beta = np.asarray(basis.beta, dtype=np.complex128)
     x = 1.0 - ((alpha**2).real - (beta**2).real) / 3.0
     xt = 1.0 + 2.0 * (np.conj(alpha) * beta).real / 3.0
     y = 1.0 + 2.0 * (alpha * beta).real / 3.0
     yt = 1.0 + (np.abs(alpha) ** 2 - np.abs(beta) ** 2) / 3.0
-    return x, xt, y, yt
-
-
-def expected_averages(basis: QubitBasis) -> tuple[float, float, float, float]:
-    """Haar-averaged grand sums (X, X~, Y, Y~) of a CNOT in ``basis``."""
-    x, xt, y, yt = _expected_averages_arrays(basis.alpha, basis.beta)
     return float(x), float(xt), float(y), float(yt)
 
 
@@ -378,8 +372,9 @@ class CandidateBasis:
     """One hidden-basis hypothesis recovered from the track averages.
 
     ``sign_choice`` records the signs chosen for (sin lambda, sin chi);
-    ``swapped`` marks the control/target association branch; ``degenerate``
-    marks candidates produced by the coinciding-basis short-circuit.
+    ``swapped`` marks the control/target association branch. ``degenerate``
+    only labels a candidate of the short-circuit for |alpha|^2 near 0 or 1
+    (the relabeled computational basis); no stage prefers or drops it.
     """
 
     basis: QubitBasis
@@ -397,23 +392,11 @@ def _branch_candidates(
     if r_alpha < -tol_edge or r_alpha > 1.0 + tol_edge:
         return []
     r_alpha = min(1.0, max(0.0, r_alpha))
-    if r_alpha > 1.0 - DEGENERACY_FLOOR:
+    if r_alpha > 1.0 - DEGENERACY_FLOOR or r_alpha < DEGENERACY_FLOOR:
+        alpha = 1.0 if r_alpha > 0.5 else 0.0
+        basis = QubitBasis(alpha=alpha, beta=1.0 - alpha)
         return [
-            CandidateBasis(
-                basis=QubitBasis(alpha=1.0, beta=0.0),
-                sign_choice=(1, 1),
-                swapped=swapped,
-                degenerate=True,
-            )
-        ]
-    if r_alpha < DEGENERACY_FLOOR:
-        return [
-            CandidateBasis(
-                basis=QubitBasis(alpha=0.0, beta=1.0),
-                sign_choice=(1, 1),
-                swapped=swapped,
-                degenerate=True,
-            )
+            CandidateBasis(basis, sign_choice=(1, 1), swapped=swapped, degenerate=True)
         ]
     mag_a = math.sqrt(r_alpha)
     mag_b = math.sqrt(1.0 - r_alpha)
@@ -596,10 +579,10 @@ def disambiguate(
     """Polish candidates and keep the ones whose |+> passes every detected
     CNOT track's product test at fidelity PASS_FIDELITY.
 
-    Returns the polished passing candidates, duplicates merged; the list may
-    be empty, and several survivors are left for pairing and gate
-    classification to resolve. Raises IdentificationError only when
-    ``candidates`` or ``cnot_tracks`` is empty.
+    Returns the polished passing candidates; of several on one ray the
+    first is kept. The list may be empty, and several survivors are left for
+    pairing and gate classification to resolve. Raises IdentificationError
+    only when ``candidates`` or ``cnot_tracks`` is empty.
     """
     candidates = list(candidates)
     if not candidates:
@@ -616,14 +599,7 @@ def disambiguate(
         if v is None:
             continue
         polished = replace(cand, basis=QubitBasis.from_plus_ket(v))
-        merged = False
-        for i, kept in enumerate(passing):
-            if _ray_distance(kept.basis, polished.basis) < 1e-9:
-                if polished.degenerate and not kept.degenerate:
-                    passing[i] = polished
-                merged = True
-                break
-        if not merged:
+        if all(_ray_distance(kept.basis, polished.basis) >= 1e-9 for kept in passing):
             passing.append(polished)
     return passing
 
@@ -836,8 +812,10 @@ def identify_layer(
     averages, polished and selected by deterministic probes, controls are
     paired with targets, the basis phase is pinned, and the remaining tracks
     are classified. Status is "full" exactly when one reconstruction
-    explains everything and some track carries T or S; remaining
-    ambiguities or unknown gates downgrade the status to "partial".
+    explains everything and some track carries T or S; unknown gates
+    downgrade the status to "partial". When several reconstructions explain
+    every probe equally well, the first is reported as ``selected`` and the
+    status is "partial".
 
     Every well-formed layer gets a report: a stage that stops the pipeline
     (no candidate basis, none passing the CNOT product test, every survivor
@@ -951,21 +929,10 @@ def identify_layer(
     pool = complete or results
     resolved = len(pool) == 1
     if not resolved:
-        # Preferring the one degenerate survivor is a guess, not a proof: an
-        # all-CNOT layer also has a coinciding-basis description with every
-        # pair swapped that explains each probe as well as the true one.
-        degenerate = [r for r in pool if r[1].degenerate]
-        if len(degenerate) == 1:
-            pool = degenerate
-            notes.append(
-                "several reconstructions explain all probes; preferring the "
-                "coinciding-basis description"
-            )
-        else:
-            notes.append(
-                "several reconstructions explain all probes equally well; "
-                "reporting the first (the layer is observationally degenerate)"
-            )
+        notes.append(
+            "several reconstructions explain all probes equally well; "
+            "reporting the first (the layer is observationally degenerate)"
+        )
     chosen_index, chosen, pairs, gate_labels = pool[0]
     gate_labels = dict(gate_labels)
     for c, t in pairs:
@@ -1113,18 +1080,10 @@ def report_to_json_dict(report: ProtocolReport) -> dict:
 
 def stats_to_csv(stats) -> str:
     """CSV table of track statistics (17-significant-digit floats)."""
-    lines = ["track,X,stderr_X,Y,stderr_Y,trials"]
-    for s in stats:
-        lines.append(
-            ",".join(
-                [
-                    str(s.track),
-                    format_float(s.x_like),
-                    format_float(s.stderr_x),
-                    format_float(s.y_like),
-                    format_float(s.stderr_y),
-                    str(s.trials),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return dumps_csv(
+        ["track", "X", "stderr_X", "Y", "stderr_Y", "trials"],
+        [
+            (s.track, s.x_like, s.stderr_x, s.y_like, s.stderr_y, s.trials)
+            for s in stats
+        ],
+    )

@@ -75,6 +75,19 @@ def dumps_canonical(obj: Any) -> str:
     return "".join(parts)
 
 
+def dumps_csv(columns, rows) -> str:
+    """CSV text: a header line, then one line per row (floats at 17
+    significant digits, other values through ``str``)."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(
+            ",".join(
+                format_float(v) if isinstance(v, float) else str(v) for v in row
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
 def parse_float_field(value: Any, *, name: str) -> float:
     """Parse a report float that may be the literal string "inf"/"-inf"."""
     if isinstance(value, str):

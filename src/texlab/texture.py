@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EPS, as_complex_matrix, kron
+from .linalg import EPS, as_complex_matrix, kron_all
 from .states import DensityOperator
 
 #: Grand sums below this floor are treated as exactly zero (infinite rugosity).
@@ -92,10 +92,7 @@ def additivity_check(rhos) -> tuple[float, float]:
     matrices = [_matrix(r) for r in rhos]
     if not matrices:
         raise ValueError("rhos: need at least one state")
-    product = matrices[0]
-    for m in matrices[1:]:
-        product = kron(product, m)
-    lhs = rugosity(product)
+    lhs = rugosity(kron_all(matrices))
     parts = [rugosity(m) for m in matrices]
     rhs = math.inf if any(math.isinf(p) for p in parts) else float(sum(parts))
     return lhs, rhs

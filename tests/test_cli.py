@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
@@ -109,6 +110,16 @@ def test_channel_audit_flags_non_free_channel(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["is_free"] is False
     assert payload["max_free_residual"] > 0.1
+
+
+@pytest.mark.parametrize("states", ["0", "-3"])
+def test_channel_audit_rejects_non_positive_states(states, tmp_path, capsys):
+    channel = build_free_channel(2, fourier_ket(2, 1))
+    infile = _write_json(tmp_path / "chan.json", channel_to_json_dict(channel))
+    assert main(["channel-audit", "--in", infile, "--states", states]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --states")
 
 
 def test_layer_gen_and_identify_round_trip(tmp_path, capsys):
@@ -298,3 +309,49 @@ def test_paramagnet_grid_validation(capsys):
 def test_layer_gen_validation_error(capsys):
     assert main(["layer-gen", "--tracks", "2", "--cnots", "3"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+#: SHA-256 of the standard output of fixed commands. The inputs are the
+#: generic states below and a fixed ``layer-gen`` layer; moving the CSV or
+#: JSON writers must keep these bytes.
+CLI_OUTPUT_DIGESTS = {
+    "texture-ket-csv": (
+        ["texture", "--in", "ket.json", "--format", "csv"],
+        "cfda0def7fb4bc7d399bf6f64ae57fc117868189a1640abb480ef8a3fa23bd6b",
+    ),
+    "texture-matrix-csv": (
+        ["texture", "--in", "matrix.json", "--format", "csv"],
+        "a99e1207e2d24bdc577b4772656a7182270d988add1c183666861c9f8976f02d",
+    ),
+    "texture-ket-json": (
+        ["texture", "--in", "ket.json"],
+        "efa1f66df5a0b4178aab7c33a227c2b07b7fe334e64c6d2351381f954267bed0",
+    ),
+    "paramagnet-csv": (
+        ["paramagnet", "--grid", "0:5:6", "--format", "csv"],
+        "e57192bc88231a165e1a5c41e2aad4f5c715deb9996c3e49b0b7e4ecc68c1b53",
+    ),
+    "identify-csv": (
+        ["identify", "--in", "layer.json", "--seed", "3", "--trials", "20000",
+         "--format", "csv"],
+        "efa34e9795301f95ceb12e4b1bb26696a5ea0a027cf7f4348cd8518b2cfb45b0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_OUTPUT_DIGESTS))
+def test_cli_output_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_json(tmp_path / "ket.json", {"ket": [[0.6, 0.1], [0.3, -0.5], [0.2, 0.4]]})
+    _write_json(
+        tmp_path / "matrix.json",
+        {"matrix": [[0.7, [0.2, 0.1]], [[0.2, -0.1], 0.3]]},
+    )
+    assert main(
+        ["layer-gen", "--tracks", "4", "--cnots", "1", "--seed", "5",
+         "--min-component", "0.2", "--out", "layer.json"]
+    ) == 0
+    argv, digest = CLI_OUTPUT_DIGESTS[name]
+    assert main(argv) in (0, 2)
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

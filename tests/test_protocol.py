@@ -770,16 +770,30 @@ def test_identify_splits_merged_cnot_signatures(layer_kwargs, identify_seed):
     assert any("exact means" in note for note in report.notes)
 
 
-def test_degenerate_tie_break_leaves_all_cnot_layer_partial():
+@pytest.mark.parametrize(
+    "layer_kwargs, identify_kwargs",
+    [
+        (
+            dict(num_tracks=10, num_cnots=5, seed=3744585488315152750),
+            dict(seed=2765310290335372248),
+        ),
+        (
+            dict(num_tracks=2, num_cnots=1, seed=5720459410199807832),
+            dict(seed=9178145280359401396, trials=10000, shots=1000),
+        ),
+    ],
+    ids=["ten-tracks", "two-tracks-shots"],
+)
+def test_degenerate_tie_break_leaves_all_cnot_layer_partial(
+    layer_kwargs, identify_kwargs
+):
     # Every track is a CNOT and the true basis is a superposition one; the
-    # coinciding-basis description with all five pairs swapped explains every
-    # probe as well, so preferring it must not claim a unique reconstruction.
-    layer = random_layer(
-        num_tracks=10, num_cnots=5, seed=3744585488315152750, min_component=0.0
-    )
-    report = identify_layer(layer, seed=2765310290335372248)
+    # coinciding-basis description with every pair swapped explains every
+    # probe as well, so no reconstruction is unique and the first is shown.
+    layer = random_layer(**layer_kwargs, min_component=0.0)
+    report = identify_layer(layer, **identify_kwargs)
     assert report.status == "partial"
-    assert any("coinciding-basis" in note for note in report.notes)
+    assert any("observationally degenerate" in note for note in report.notes)
 
 
 @pytest.mark.parametrize(
