@@ -126,6 +126,8 @@ def averaged_rugosity_per_spin(
     x = _validate_x(x)
     if rtol <= 0.0:
         raise ValueError(f"rtol: must be positive, got {rtol!r}")
+    if max_points < 1:
+        raise ValueError(f"max_points: must be positive, got {max_points!r}")
     c = 1.0 / math.cosh(x)
     if c <= 1.0 - _WINDOW_THRESHOLD:
         return _periodic_mean(x, rtol, max_points)

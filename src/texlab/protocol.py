@@ -31,8 +31,8 @@ from .circuit import (
     CnotGate,
     GateKind,
     SingleGate,
+    gate_matrix,
     run_layer_with_inputs,
-    standard_gate_matrix,
 )
 from .linalg import principal_eigenvector
 from .serialize import ARTIFACT_VERSION, dumps_csv
@@ -44,7 +44,8 @@ DEFAULT_TAU = 0.05
 #: Fidelity a probe output must reach to count as "the expected state".
 PASS_FIDELITY = 1.0 - 1e-9
 
-#: Frobenius tolerance for matching a reconstructed gate to the dictionary.
+#: Frobenius tolerance between a probe output and a dictionary gate's
+#: predicted output projector.
 GATE_MATCH_ATOL = 1e-8
 
 #: |beta|^2 (or |alpha|^2) below this means the association branch is treated
@@ -614,12 +615,16 @@ def pairing_probe(
     track as the control of that pair. Probing a target (or a non-CNOT
     track) flips nothing and the track is skipped — its control, probed
     later, recovers the pair. Returns (pairs, cleared) where ``cleared``
-    are candidate tracks shown not to be CNOT members.
+    are candidate tracks shown not to be CNOT members. Raises ValueError for
+    a candidate track outside the layer.
     """
     plus = basis.plus_ket()
     minus = basis.minus_ket()
     n = layer.num_tracks
     order = list(dict.fromkeys(candidate_tracks))
+    bad = [t for t in order if not 0 <= t < n]
+    if bad:
+        raise ValueError(f"candidate_tracks: {bad} out of range for {n} tracks")
     taken: set[int] = set()
     pairs: list[tuple[int, int]] = []
     for track in order:
@@ -702,12 +707,11 @@ def classify_single_qubit_gates(
     """Classify non-CNOT tracks against the dictionary {I, H, T, S}.
 
     Four probe runs (|+>, |->, their equal superposition, and the
-    i-superposition, fed to all tracks at once) determine each track's
-    unitary in hidden-basis coordinates up to a global phase: the first two
-    probes give the columns as rays, the third fixes their relative phase,
-    and the fourth must be consistent with the reconstruction. Tracks whose
-    probe outputs are not pure, whose fourth probe disagrees, or whose matrix
-    matches no dictionary gate are labeled "unknown".
+    i-superposition, fed to all tracks at once) give each track four output
+    states. A track takes the label of the dictionary gate g, in ``basis``,
+    whose predicted outputs |g probe><g probe| all lie within GATE_MATCH_ATOL
+    of them; four output rays fix a unitary up to a global phase. A track
+    matching no gate, a mixed-output track among them, is labeled "unknown".
     """
     plus = basis.plus_ket()
     minus = basis.minus_ket()
@@ -720,39 +724,18 @@ def classify_single_qubit_gates(
     n = layer.num_tracks
     tracks = list(tracks)
     outputs = [run_layer_with_inputs(layer, [p] * n, tracks=tracks) for p in probes]
-    b_matrix = basis.matrix()
+    kinds = (GateKind.IDENTITY, GateKind.HADAMARD, GateKind.T, GateKind.S)
+    # rhos[probe, track] against projectors[gate, probe], by Frobenius norm.
+    rhos = np.array(outputs).reshape(len(probes), len(tracks), 2, 2)
+    mats = np.array([gate_matrix(kind, basis) for kind in kinds])
+    predicted = np.einsum("gij,pj->gpi", mats, np.array(probes))
+    projectors = np.einsum("gpi,gpj->gpij", predicted, predicted.conj())
+    distance = np.linalg.norm(rhos - projectors[:, :, None], axis=(-2, -1))
+    matches = (distance <= GATE_MATCH_ATOL).all(axis=1)
     labels: dict[int, str] = {}
     for index, track in enumerate(tracks):
-        kets = []
-        pure = True
-        for out in outputs:
-            rho = out[index]
-            purity = float(np.real(np.trace(rho @ rho)))
-            if purity < 1.0 - 1e-10:
-                pure = False
-                break
-            kets.append(principal_eigenvector(rho))
-        if not pure:
-            labels[track] = "unknown"
-            continue
-        u1, u2, u3, u4 = kets
-        a1 = np.vdot(u3, u1)
-        a2 = np.vdot(u3, u2)
-        delta = np.angle(a1) - np.angle(a2)
-        u_tilde = np.column_stack([u1, np.exp(1j * delta) * u2])
-        predicted4 = u_tilde @ (np.array([1.0, 1.0j]) / np.sqrt(2.0))
-        if abs(np.vdot(u4, predicted4)) ** 2 < PASS_FIDELITY:
-            labels[track] = "unknown"
-            continue
-        m = b_matrix.conj().T @ u_tilde
-        label = "unknown"
-        for kind in (GateKind.IDENTITY, GateKind.HADAMARD, GateKind.T, GateKind.S):
-            g = standard_gate_matrix(kind)
-            phase = np.angle(np.trace(g.conj().T @ m))
-            if np.linalg.norm(m - np.exp(1j * phase) * g) <= GATE_MATCH_ATOL:
-                label = kind.value
-                break
-        labels[track] = label
+        hits = [kind.value for kind, hit in zip(kinds, matches[:, index]) if hit]
+        labels[track] = hits[0] if hits else "unknown"
     return labels
 
 

@@ -306,6 +306,14 @@ def test_paramagnet_grid_validation(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_paramagnet_rejects_non_positive_quadrature_points(capsys):
+    argv = ["paramagnet", "--grid", "1:2:2", "--quadrature-points", "-5"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: max_points: must be positive")
+    assert "did not converge" not in err
+
+
 def test_layer_gen_validation_error(capsys):
     assert main(["layer-gen", "--tracks", "2", "--cnots", "3"]) == 1
     assert capsys.readouterr().err.startswith("error:")

@@ -87,6 +87,17 @@ def test_quadrature_parameter_validation():
         averaged_rugosity_per_spin(0.01, max_points=1024)
 
 
+@pytest.mark.parametrize("max_points", [0, -5])
+def test_non_positive_point_cap_is_rejected_as_an_argument(max_points):
+    # A cap below 1 is a bad argument, not a quadrature that failed to
+    # converge.
+    for x in (1.0, 0.01):
+        with pytest.raises(ValueError, match="max_points: must be positive"):
+            averaged_rugosity_per_spin(x, max_points=max_points)
+    with pytest.raises(ValueError, match="max_points"):
+        paramagnet_report([1.0], max_points=max_points)
+
+
 def test_sampled_rugosity_agrees_with_quadrature():
     mean, stderr = sampled_rugosity_per_spin(1.0, samples=20_000, seed=7)
     assert stderr > 0.0

@@ -15,10 +15,14 @@ from texlab.circuit import (
     GateKind,
     SingleGate,
     run_layer_with_inputs,
+    standard_gate_matrix,
 )
+from texlab.linalg import principal_eigenvector
 from texlab.protocol import (
     _MATMUL_ROWS,
     DEFAULT_TRIALS,
+    GATE_MATCH_ATOL,
+    PASS_FIDELITY,
     CandidateBasis,
     IdentificationError,
     ProtocolReport,
@@ -571,6 +575,15 @@ def test_pairing_probe_is_unchanged_when_outputs_are_not_shared(monkeypatch):
         assert outcome(layer, basis) == expected
 
 
+@pytest.mark.parametrize("tracks", [[-1, 1, 2], [-4, -3, -2, -1], [4]])
+def test_pairing_probe_rejects_tracks_outside_the_layer(tracks):
+    # A negative index would wrap round to a real track and could pair a
+    # track with itself; one past the end would index outside the outputs.
+    layer = random_layer(num_tracks=4, num_cnots=1, seed=3, min_component=0.15)
+    with pytest.raises(ValueError, match="candidate_tracks"):
+        pairing_probe(layer, layer.hidden_basis, tracks)
+
+
 def test_classify_single_qubit_gates_identifies_dictionary():
     rng = np.random.default_rng(77)
     basis = _random_basis(rng)
@@ -599,6 +612,93 @@ def test_classify_single_qubit_gates_flags_wrong_basis_as_unknown():
         layer, QubitBasis.computational(), [0]
     )
     assert labels == {0: "unknown"}
+
+
+def _classify_single_qubit_gates_reference(layer, basis, tracks):
+    # The former classifier, which rebuilt each track's unitary from its
+    # probe outputs before matching it, kept verbatim as an exact oracle.
+    plus = basis.plus_ket()
+    minus = basis.minus_ket()
+    probes = [
+        plus,
+        minus,
+        (plus + minus) / np.sqrt(2.0),
+        (plus + 1j * minus) / np.sqrt(2.0),
+    ]
+    n = layer.num_tracks
+    tracks = list(tracks)
+    outputs = [run_layer_with_inputs(layer, [p] * n, tracks=tracks) for p in probes]
+    b_matrix = basis.matrix()
+    labels: dict[int, str] = {}
+    for index, track in enumerate(tracks):
+        kets = []
+        pure = True
+        for out in outputs:
+            rho = out[index]
+            purity = float(np.real(np.trace(rho @ rho)))
+            if purity < 1.0 - 1e-10:
+                pure = False
+                break
+            kets.append(principal_eigenvector(rho))
+        if not pure:
+            labels[track] = "unknown"
+            continue
+        u1, u2, u3, u4 = kets
+        a1 = np.vdot(u3, u1)
+        a2 = np.vdot(u3, u2)
+        delta = np.angle(a1) - np.angle(a2)
+        u_tilde = np.column_stack([u1, np.exp(1j * delta) * u2])
+        predicted4 = u_tilde @ (np.array([1.0, 1.0j]) / np.sqrt(2.0))
+        if abs(np.vdot(u4, predicted4)) ** 2 < PASS_FIDELITY:
+            labels[track] = "unknown"
+            continue
+        m = b_matrix.conj().T @ u_tilde
+        label = "unknown"
+        for kind in (GateKind.IDENTITY, GateKind.HADAMARD, GateKind.T, GateKind.S):
+            g = standard_gate_matrix(kind)
+            phase = np.angle(np.trace(g.conj().T @ m))
+            if np.linalg.norm(m - np.exp(1j * phase) * g) <= GATE_MATCH_ATOL:
+                label = kind.value
+                break
+        labels[track] = label
+    return labels
+
+
+def test_classify_single_qubit_gates_matches_the_reference_classifier():
+    # Every track is classified, CNOT controls and targets included, so the
+    # mixed-output branch is covered. Bases are perturbed by 1e-12 (the
+    # polished bases the pipeline hands over) and by 1e-6 (far from every
+    # gate), but not by 1e-9 to 1e-8: there the projector distance and the
+    # reference's matrix distance straddle GATE_MATCH_ATOL differently and
+    # may disagree about H, and polish never leaves a basis in that band.
+    rng = np.random.default_rng(88)
+    labels_seen = set()
+    for seed in range(120):
+        num_tracks = 2 + seed % 7
+        layer = random_layer(
+            num_tracks=num_tracks,
+            num_cnots=1 + seed % (num_tracks // 2),
+            seed=seed,
+            min_component=0.0 if seed % 2 else 0.15,
+        )
+        true = layer.hidden_basis
+        plus, minus = true.plus_ket(), true.minus_ket()
+        bases = [
+            true,
+            QubitBasis(alpha=np.conj(true.alpha), beta=np.conj(true.beta)),
+            QubitBasis.from_plus_ket((plus + minus) * SQ2),
+            _random_basis(rng),
+        ]
+        for eps in (1e-12, 1e-6):
+            kick = rng.normal(size=2) + 1j * rng.normal(size=2)
+            v = plus + eps * kick / np.linalg.norm(kick)
+            bases.append(QubitBasis.from_plus_ket(v / np.linalg.norm(v)))
+        for basis in bases:
+            tracks = range(num_tracks)
+            want = _classify_single_qubit_gates_reference(layer, basis, tracks)
+            assert classify_single_qubit_gates(layer, basis, tracks) == want, seed
+            labels_seen.update(want.values())
+    assert labels_seen == {"I", "H", "T", "S", "unknown"}
 
 
 # ---------------------------------------------------------------------------
