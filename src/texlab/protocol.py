@@ -544,13 +544,22 @@ def _polish_candidate(
 
     Feeding a candidate into all tracks and replacing it with the principal
     eigenvector of a CNOT control output contracts quadratically onto the
-    true |+>; target and identity tracks do not contract, so every probe
-    track is tried and a result is accepted only if the iteration converges,
-    stays inside the candidate's own basin (squared overlap >= 0.7 with the
-    start), and then reaches fidelity PASS_FIDELITY on every required track.
+    true |+>; target and identity tracks do not contract, so the probe
+    tracks are tried in turn and a result is accepted only if the iteration
+    converges, stays inside the candidate's own basin (squared overlap >= 0.7
+    with the start), and then reaches fidelity PASS_FIDELITY on every
+    required track. Only the first probe track of each role (kind, side) is
+    tried: a later track of that role gets the same output array for the
+    same input, so it would repeat the trajectory and both checks bit for
+    bit.
     """
     n = layer.num_tracks
+    tried: set[tuple] = set()
     for probe in probe_tracks:
+        role = layer.track_roles[probe][:2]
+        if role in tried:
+            continue
+        tried.add(role)
         v = basis.plus_ket()
         v0 = v.copy()
         converged = False

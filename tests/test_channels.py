@@ -7,6 +7,8 @@ import pytest
 
 from texlab.channels import (
     KrausChannel,
+    _f1_gram,
+    _pure_gain,
     apply_channel,
     build_free_channel,
     build_free_channel_mixed,
@@ -142,6 +144,8 @@ def test_build_free_channel_mixed_validates_ensemble():
         build_free_channel_mixed(2, [])
     with pytest.raises(ValueError, match="sum"):
         build_free_channel_mixed(2, [(0.5, fourier_ket(2, 1))])
+    with pytest.raises(ValueError, match="^ensemble: weight nan is not finite$"):
+        build_free_channel_mixed(2, [(float("nan"), [1, 0]), (1.0, [0, 1])])
 
 
 def test_decompose_against_f1():
@@ -200,3 +204,121 @@ def test_channel_from_json_dict_validation():
         channel_from_json_dict({"dim": 2, "operators": []})
     with pytest.raises(ValueError, match="rows"):
         channel_from_json_dict({"dim": 2, "operators": [[[1.0, 0.0]]]})
+    with pytest.raises(ValueError, match="^dim: must be a positive integer, got True$"):
+        channel_from_json_dict({"dim": True, "operators": [[[[1.0, 0.0]]]]})
+
+
+# ---------------------------------------------------------------------------
+# stacked kernels against the former per-operator loops
+
+
+def _apply_channel_reference(channel, rho):
+    # The former per-operator apply_channel, kept verbatim as an oracle.
+    out = np.zeros((channel.dim, channel.dim), dtype=np.complex128)
+    for op in channel.operators:
+        out += op @ rho.matrix @ op.conj().T
+    out = 0.5 * (out + out.conj().T)
+    return DensityOperator(out)
+
+
+def _completeness_residual_reference(channel):
+    # The former per-operator completeness_residual, kept verbatim.
+    acc = np.zeros((channel.dim, channel.dim), dtype=np.complex128)
+    for op in channel.operators:
+        acc += op.conj().T @ op
+    return float(np.linalg.norm(acc - np.eye(channel.dim)))
+
+
+def _pure_gain_reference(channel, phi):
+    # The former per-operator audit gain, kept verbatim.
+    dec = decompose_against_f1(phi)
+    if dec.g_perp is None:
+        return 0.0
+    f1 = fourier_ket(channel.dim, 1)
+    total = 0.0
+    for op in channel.operators:
+        total += abs(np.vdot(f1, op @ dec.g_perp)) ** 2
+    return float(channel.dim * dec.zeta_perp**2 * total)
+
+
+def _oracle_channels(rng):
+    """Free channels (pure and mixed targets, dim 1-8 and 16), the non-free
+    sign channel and a one-operator unitary channel."""
+    channels = []
+    for dim in (*range(1, 9), 16):
+        channels.append(build_free_channel(dim, _random_ket(rng, dim)))
+        q = float(rng.uniform(0.2, 0.8))
+        ensemble = [(q, _random_ket(rng, dim)), (1.0 - q, _random_ket(rng, dim))]
+        channels.append(build_free_channel_mixed(dim, ensemble))
+    channels.append(
+        KrausChannel(dim=2, operators=(np.diag([1.0, -1.0]).astype(np.complex128),))
+    )
+    g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    channels.append(KrausChannel(dim=5, operators=(np.linalg.qr(g)[0],)))
+    return channels
+
+
+def _oracle_states(rng, dim):
+    """Wishart states, pure states and (from dim 3) a rank-deficient state."""
+    states = [_random_density(rng, dim) for _ in range(2)]
+    states += [DensityOperator.from_ket(_random_ket(rng, dim)) for _ in range(2)]
+    states.append(DensityOperator.from_ket(fourier_ket(dim, 1)))
+    if dim >= 3:
+        kets = [_random_ket(rng, dim) for _ in range(dim - 1)]
+        low_rank = sum(np.outer(k, k.conj()) for k in kets) / len(kets)
+        states.append(DensityOperator(low_rank))
+    return states
+
+
+def test_channel_kernels_match_the_per_operator_references():
+    rng = np.random.default_rng(58)
+    channels = _oracle_channels(rng)
+    # The mixed dim-8 free channel spans two operator blocks, and the mixed
+    # dim-16 one 35 blocks, the last of them partial.
+    assert sorted(len(ch._blocks) for ch in channels)[-3:] == [2, 18, 35]
+    for ch in channels:
+        np.testing.assert_allclose(
+            ch.completeness_residual(),
+            _completeness_residual_reference(ch),
+            rtol=0,
+            atol=1e-12,
+        )
+        gram = _f1_gram(ch)
+        for rho in _oracle_states(rng, ch.dim):
+            np.testing.assert_allclose(
+                apply_channel(ch, rho).matrix,
+                _apply_channel_reference(ch, rho).matrix,
+                rtol=0,
+                atol=1e-12,
+            )
+            vals, vecs = np.linalg.eigh(rho.matrix)
+            for j in range(ch.dim):
+                ket = vecs[:, j] / np.linalg.norm(vecs[:, j])
+                np.testing.assert_allclose(
+                    _pure_gain(gram, ket),
+                    _pure_gain_reference(ch, ket),
+                    rtol=0,
+                    atol=1e-12,
+                )
+            audit = monotonicity_audit(ch, rho)
+            want = sum(
+                float(w) * _pure_gain_reference(ch, vecs[:, j] / np.linalg.norm(vecs[:, j]))
+                for j, w in enumerate(vals)
+                if w > 1e-12
+            )
+            np.testing.assert_allclose(audit.predicted_gain, want, rtol=0, atol=1e-12)
+
+
+def test_stacked_operators_are_read_only_and_built_once():
+    rng = np.random.default_rng(59)
+    ch = build_free_channel_mixed(
+        3, [(0.5, _random_ket(rng, 3)), (0.5, _random_ket(rng, 3))]
+    )
+    stacked = ch.stacked
+    assert stacked is ch.stacked
+    assert stacked.shape == (3, 18 * 3)
+    assert not stacked.flags.writeable
+    for k, op in enumerate(ch.operators):
+        np.testing.assert_array_equal(stacked[:, 3 * k : 3 * (k + 1)], op)
+    with pytest.raises(ValueError):
+        stacked[0, 0] = 0.0

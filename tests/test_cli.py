@@ -112,6 +112,16 @@ def test_channel_audit_flags_non_free_channel(tmp_path, capsys):
     assert payload["max_free_residual"] > 0.1
 
 
+def test_channel_audit_rejects_boolean_dim(tmp_path, capsys):
+    infile = _write_json(
+        tmp_path / "bool_dim.json", {"dim": True, "operators": [[[[1.0, 0.0]]]]}
+    )
+    assert main(["channel-audit", "--in", infile]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: dim: must be a positive integer, got True\n"
+
+
 @pytest.mark.parametrize("states", ["0", "-3"])
 def test_channel_audit_rejects_non_positive_states(states, tmp_path, capsys):
     channel = build_free_channel(2, fourier_ket(2, 1))

@@ -18,8 +18,10 @@ from texlab.circuit import (
     standard_gate_matrix,
 )
 from texlab.linalg import principal_eigenvector
+import texlab.protocol as protocol
 from texlab.protocol import (
     _MATMUL_ROWS,
+    BASIN_MIN_OVERLAP,
     DEFAULT_TRIALS,
     GATE_MATCH_ATOL,
     PASS_FIDELITY,
@@ -28,6 +30,7 @@ from texlab.protocol import (
     ProtocolReport,
     TrackStats,
     _cnot_values,
+    _product_test_min_fidelity,
     _single_values,
     _trial_kets,
     classify_single_qubit_gates,
@@ -523,6 +526,73 @@ def test_disambiguate_error_paths():
         basis=QubitBasis(alpha=0.8, beta=0.6j), sign_choice=(1, 1), swapped=False
     )
     assert disambiguate(layer, [wrong], [0, 1]) == []
+
+
+def _polish_candidate_reference(layer, basis, probe_tracks, required_tracks):
+    # The former polish, which tried every probe track, kept verbatim as an
+    # exact oracle.
+    n = layer.num_tracks
+    for probe in probe_tracks:
+        v = basis.plus_ket()
+        v0 = v.copy()
+        converged = False
+        for _ in range(60):
+            rho = run_layer_with_inputs(layer, [v] * n, tracks=[probe])[0]
+            w = principal_eigenvector(rho)
+            overlap = np.vdot(v, w)
+            if abs(overlap) > 1e-12:
+                w = w * (np.conj(overlap) / abs(overlap))
+            delta = float(np.linalg.norm(w - v))
+            v = w
+            if delta < 1e-13:
+                converged = True
+                break
+        if not converged:
+            continue
+        if abs(np.vdot(v0, v)) ** 2 < BASIN_MIN_OVERLAP:
+            continue
+        if _product_test_min_fidelity(layer, v, required_tracks) >= PASS_FIDELITY:
+            return v
+    return None
+
+
+def test_disambiguate_matches_the_every_track_polish_bit_for_bit(monkeypatch):
+    # Polish tries one probe track per role; the reference tries them all.
+    # Layers carry up to five CNOT pairs, and a random share of their
+    # single-qubit tracks is passed as ambiguous, so roles repeat among the
+    # probe tracks on most layers.
+    rng = np.random.default_rng(89)
+    repeated_roles = 0
+    survivors_seen = 0
+    for seed in range(120):
+        num_tracks = 2 + seed % 9
+        layer = random_layer(
+            num_tracks=num_tracks,
+            num_cnots=1 + seed % (num_tracks // 2),
+            seed=seed,
+            min_component=0.0 if seed % 2 else 0.15,
+        )
+        cnot_tracks = [t for pair in layer.cnot_pairs() for t in pair]
+        rng.shuffle(cnot_tracks)
+        singles = [t for t in range(num_tracks) if t not in cnot_tracks]
+        ambiguous = [t for t in singles if rng.random() < 0.5]
+        probe_tracks = cnot_tracks + ambiguous
+        roles = [layer.track_roles[t][:2] for t in probe_tracks]
+        repeated_roles += len(set(roles)) < len(roles)
+        candidates = recover_basis(expected_averages(layer.hidden_basis))
+        candidates += [
+            CandidateBasis(basis=_random_basis(rng), sign_choice=(1, 1), swapped=False)
+        ]
+        got = disambiguate(layer, candidates, cnot_tracks, ambiguous)
+        with monkeypatch.context() as m:
+            m.setattr(protocol, "_polish_candidate", _polish_candidate_reference)
+            want = disambiguate(layer, candidates, cnot_tracks, ambiguous)
+        assert [(c.basis.alpha, c.basis.beta) for c in got] == [
+            (c.basis.alpha, c.basis.beta) for c in want
+        ], seed
+        survivors_seen += len(want)
+    assert repeated_roles >= 60
+    assert survivors_seen >= 120
 
 
 def test_pairing_probe_finds_pairs_in_any_probe_order():
