@@ -34,7 +34,12 @@ from .channels import (
     texture_free_certificate,
 )
 from .circuit import layer_from_json_dict, layer_to_json_dict
-from .paramagnet import paramagnet_csv, paramagnet_report
+from .paramagnet import (
+    DEFAULT_MAX_POINTS,
+    DEFAULT_RTOL,
+    paramagnet_csv,
+    paramagnet_report,
+)
 from .protocol import (
     DEFAULT_TAU,
     DEFAULT_TRIALS,
@@ -256,9 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
         "paramagnet", help="averaged rugosity of the coherent paramagnet"
     )
     para.add_argument("--grid", default="0:5:26", help="field grid start:stop:count")
-    para.add_argument("--rtol", type=float, default=1e-8)
+    para.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
     para.add_argument(
-        "--quadrature-points", type=int, default=1 << 22, help="quadrature point cap"
+        "--quadrature-points",
+        type=int,
+        default=DEFAULT_MAX_POINTS,
+        help="quadrature node cap",
     )
     para.add_argument("--out", default=None)
     para.add_argument("--format", choices=("json", "csv"), default="json")

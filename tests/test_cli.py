@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from texlab.channels import KrausChannel, build_free_channel, channel_to_json_dict
-from texlab.cli import main
+from texlab.cli import build_parser, main
+from texlab.paramagnet import DEFAULT_MAX_POINTS, DEFAULT_RTOL
 from texlab.serialize import dumps_canonical
 from texlab.states import QubitBasis, basis_distance, fourier_ket
 
@@ -324,6 +325,19 @@ def test_paramagnet_rejects_non_positive_quadrature_points(capsys):
     assert "did not converge" not in err
 
 
+@pytest.mark.parametrize("rtol", ["nan", "inf"])
+def test_paramagnet_rejects_non_finite_rtol(rtol, capsys):
+    assert main(["paramagnet", "--grid", "0:1:2", "--rtol", rtol]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: rtol: must be a finite positive real")
+
+
+def test_paramagnet_defaults_come_from_the_library():
+    args = build_parser().parse_args(["paramagnet"])
+    assert args.rtol == DEFAULT_RTOL
+    assert args.quadrature_points == DEFAULT_MAX_POINTS
+
+
 def test_layer_gen_validation_error(capsys):
     assert main(["layer-gen", "--tracks", "2", "--cnots", "3"]) == 1
     assert capsys.readouterr().err.startswith("error:")
@@ -347,7 +361,7 @@ CLI_OUTPUT_DIGESTS = {
     ),
     "paramagnet-csv": (
         ["paramagnet", "--grid", "0:5:6", "--format", "csv"],
-        "e57192bc88231a165e1a5c41e2aad4f5c715deb9996c3e49b0b7e4ecc68c1b53",
+        "376385a13a713cbd8c335da352e4ba69328ae369585721318c79f5dd8d482336",
     ),
     "identify-csv": (
         ["identify", "--in", "layer.json", "--seed", "3", "--trials", "20000",

@@ -80,11 +80,42 @@ def test_reference_closed_form_misses_the_zero_field_limit():
     assert reference_closed_form(50.0) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_quadrature_matches_closed_form_to_rounding():
+    # Tanh-sinh on the cancellation-free integrand: the log singularity at
+    # x = 0 and fields down to 1e-12 come out at double precision, and no
+    # factor overflows far beyond cosh's range.
+    xs = [0.0] + [float(x) for x in np.logspace(-12, math.log10(50.0), 60)]
+    for x in xs + [1000.0]:
+        quad = averaged_rugosity_per_spin(x)
+        assert abs(quad - corrected_closed_form(x)) <= 1e-13, x
+
+
+def test_report_rows_match_corrected_form_to_rounding():
+    report = paramagnet_report([float(x) for x in np.linspace(0.0, 5.0, 26)])
+    assert all(abs(row["residual_alt"]) < 1e-12 for row in report["rows"])
+
+
 def test_quadrature_parameter_validation():
     with pytest.raises(ValueError, match="rtol"):
         averaged_rugosity_per_spin(1.0, rtol=0.0)
+    # A cap that holds only the first level (129 nodes) has nothing to
+    # compare it with.
     with pytest.raises(RuntimeError, match="did not converge"):
-        averaged_rugosity_per_spin(0.01, max_points=1024)
+        averaged_rugosity_per_spin(0.01, max_points=129)
+
+
+@pytest.mark.parametrize("rtol", [math.nan, math.inf, -math.inf])
+def test_non_finite_rtol_is_rejected(rtol):
+    with pytest.raises(ValueError, match="rtol: must be a finite positive real"):
+        averaged_rugosity_per_spin(1.0, rtol=rtol)
+    with pytest.raises(ValueError, match="rtol: must be a finite positive real"):
+        paramagnet_report([0.0], rtol=rtol)
+
+
+@pytest.mark.parametrize("max_points", [2.5, 1024.0, True])
+def test_non_integer_point_cap_is_rejected(max_points):
+    with pytest.raises(ValueError, match="max_points: must be an integer"):
+        averaged_rugosity_per_spin(1.0, max_points=max_points)
 
 
 @pytest.mark.parametrize("max_points", [0, -5])
