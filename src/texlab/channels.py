@@ -42,12 +42,13 @@ class KrausChannel:
 
     The operators are validated and frozen at construction, and ``stacked``
     holds them side by side in one read-only array built once per channel.
-    ``apply_channel``, ``completeness_residual`` (computed once) and the
-    audit's gain are matrix products against blocks of that array. A block
-    holds max(1, 65535 // dim**3) operators (1023 at dim 4, 15 at dim 16),
-    which keeps every product on the calling thread; from dim 41 on, one
-    operator's product already passes that bound and a block is one
-    operator.
+    ``apply_channel``, ``completeness_residual`` and the audit's gain form M
+    (both computed once) are matrix products against blocks of that array;
+    an audit's predicted gain is tr(M rho), non-negative on every positive
+    state. A block holds max(1, 65535 // dim**3) operators (1023 at dim 4,
+    15 at dim 16), which keeps every product on the calling thread; from
+    dim 41 on, one operator's product already passes that bound and a block
+    is one operator.
     """
 
     dim: int
@@ -104,6 +105,23 @@ class KrausChannel:
         """Frobenius distance of sum(K^dag K) from the identity, computed
         once per channel."""
         return self._completeness_residual
+
+    @cached_property
+    def _gain_form(self) -> np.ndarray:
+        """Read-only M = dim * P G P with G = sum_k K_k^dag |f1><f1| K_k and
+        P = 1 - |f1><f1|, so that the audit's predicted gain is tr(M rho).
+
+        The rows sqrt(dim) <f1|K_k are K_k's column sums, as every entry of
+        f1 is 1/sqrt(dim); P removes each row's mean, and M is the Gram
+        matrix of the projected rows.
+        """
+        form = np.zeros((self.dim, self.dim), dtype=np.complex128)
+        for block in self._blocks:
+            rows = block.sum(axis=0)
+            rows -= rows.mean(axis=1, keepdims=True)
+            form += rows.conj().T @ rows
+        form.setflags(write=False)
+        return form
 
 
 def apply_channel(channel: KrausChannel, rho: DensityOperator) -> DensityOperator:
@@ -283,9 +301,11 @@ def decompose_against_f1(phi) -> F1Decomposition:
 class MonotonicityAudit:
     """Grand-sum accounting for one (channel, state) pair.
 
-    ``predicted_gain`` is the closed-form non-negative gain computed from the
-    channel's action on the orthogonal complement of the uniform ket;
-    ``gain_residual`` is |sigma_after - sigma_before - predicted_gain|.
+    ``predicted_gain`` is tr(M rho) with the channel's gain form
+    M = dim * P G P (see ``KrausChannel._gain_form``): the grand sum the
+    channel adds from the state's part orthogonal to the uniform ket. M is
+    positive semidefinite, so the gain is non-negative on every positive
+    state. ``gain_residual`` is |sigma_after - sigma_before - predicted_gain|.
     """
 
     sigma_before: float
@@ -295,51 +315,20 @@ class MonotonicityAudit:
     completeness_residual: float
 
 
-def _f1_gram(channel: KrausChannel) -> np.ndarray:
-    """G = sum_k K_k^dag |f1><f1| K_k, so that sum_k |<f1|K_k|g>|^2 = <g|G|g>.
-
-    The rows <f1|K_k are K_k's column sums over sqrt(dim), as every entry of
-    f1 is 1/sqrt(dim); G is the Gram matrix of those rows.
-    """
-    gram = np.zeros((channel.dim, channel.dim), dtype=np.complex128)
-    for block in channel._blocks:
-        rows = block.sum(axis=0) / math.sqrt(channel.dim)
-        gram += rows.conj().T @ rows
-    return gram
-
-
-def _pure_gain(f1_gram: np.ndarray, phi: np.ndarray) -> float:
-    """Closed-form grand-sum gain of a texture-free channel on a pure input:
-    dim * zeta_perp^2 * sum_k |<f1|K_k|g_perp>|^2, the sum read off the
-    channel's ``_f1_gram``."""
-    dec = decompose_against_f1(phi)
-    if dec.g_perp is None:
-        return 0.0
-    g = dec.g_perp
-    return float(phi.shape[0] * dec.zeta_perp**2 * np.vdot(g, f1_gram @ g).real)
-
-
 def monotonicity_audit(channel: KrausChannel, rho: DensityOperator) -> MonotonicityAudit:
     """Audit the grand-sum gain identity on one state.
 
-    Mixed states are eigendecomposed and the pure-state gain is averaged with
-    the eigenvalue weights (the grand sum is linear in the state). The rows
-    <f1|K_k and their Gram matrix are formed once per call and applied to
-    each kept eigenvector.
+    ``sigma_after`` is measured on ``apply_channel``'s output, and the
+    predicted gain is Re tr(M rho), one elementwise product sum against the
+    gain form cached on the channel. The grand sum is linear in the state,
+    so this holds for mixed states and for Hermitian unit-trace inputs with
+    negative eigenvalues alike.
     """
     from .texture import grand_sum  # per-call lookup: perfbench/tracing.py counts it
 
     sigma_before = grand_sum(rho)
     sigma_after = grand_sum(apply_channel(channel, rho))
-    f1_gram = _f1_gram(channel)
-    vals, vecs = np.linalg.eigh(rho.matrix)
-    predicted = 0.0
-    for j, weight in enumerate(vals):
-        if weight <= TARGET_WEIGHT_FLOOR:
-            continue
-        ket = vecs[:, j]
-        ket = ket / np.linalg.norm(ket)
-        predicted += float(weight) * _pure_gain(f1_gram, ket)
+    predicted = float(np.sum(channel._gain_form * rho.matrix.T).real)
     return MonotonicityAudit(
         sigma_before=sigma_before,
         sigma_after=sigma_after,

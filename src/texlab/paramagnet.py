@@ -52,10 +52,18 @@ def _validate_x(x: float) -> float:
     return x
 
 
+def _sech(x: float) -> tuple[float, float]:
+    """(sech x, 1 - sech x), both through e^-x: nothing overflows at large
+    x, and 1 - sech x = 2 sinh^2(x/2) / cosh x does not cancel at small x."""
+    decay = math.exp(-x)
+    denom = 1.0 + decay * decay
+    return 2.0 * decay / denom, math.expm1(-x) ** 2 / denom
+
+
 def coherent_grand_sum(x: float, phase) -> np.ndarray | float:
     """Per-spin grand sum 1 + sech(x) cos(phase) of the coherent ensemble."""
     x = _validate_x(x)
-    value = 1.0 + np.cos(phase) / math.cosh(x)
+    value = 1.0 + np.cos(phase) * _sech(x)[0]
     if np.isscalar(phase):
         return float(value)
     return value
@@ -64,14 +72,9 @@ def coherent_grand_sum(x: float, phase) -> np.ndarray | float:
 def _integrand(x: float, t: np.ndarray) -> np.ndarray:
     """-ln(sigma(x, pi - t) / 2), free of cancellation near t = 0.
 
-    With c = sech x, 1 + c cos(pi - t) = (1 - c) + 2c sin^2(t/2), and
-    1 - c = 2 sinh^2(x/2) / cosh x, written here through e^-x so that no
-    factor overflows at large x.
+    With c = sech x, 1 + c cos(pi - t) = (1 - c) + 2c sin^2(t/2).
     """
-    decay = math.exp(-x)
-    denom = 1.0 + decay * decay
-    gap = math.expm1(-x) ** 2 / denom
-    c = 2.0 * decay / denom
+    c, gap = _sech(x)
     return -np.log(0.5 * gap + c * np.sin(0.5 * t) ** 2)
 
 

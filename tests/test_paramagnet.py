@@ -34,6 +34,8 @@ def test_coherent_grand_sum_values():
         coherent_grand_sum(x, phases), 1.0 + np.cos(phases) / math.cosh(x)
     )
     assert isinstance(coherent_grand_sum(x, 0.5), float)
+    # cosh overflows above x of about 710; sech x through e^-x does not.
+    assert coherent_grand_sum(1000.0, 0.0) == 1.0
 
 
 def test_x_validation():
