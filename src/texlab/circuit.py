@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import as_ket, kron, partial_trace
-from .serialize import parse_complex_field
+from .serialize import parse_complex_field, require_integer
 from .states import QubitBasis
 
 __all__ = [
@@ -90,6 +90,7 @@ class SingleGate:
     def __post_init__(self):
         if self.kind not in _SINGLE_KINDS:
             raise ValueError(f"kind: {self.kind!r} is not a single-qubit gate")
+        require_integer(self.track, name="track")
         if self.track < 0:
             raise ValueError(f"track: must be non-negative, got {self.track}")
 
@@ -102,6 +103,8 @@ class CnotGate:
     target: int
 
     def __post_init__(self):
+        require_integer(self.control, name="control")
+        require_integer(self.target, name="target")
         if self.control < 0:
             raise ValueError(f"control: must be non-negative, got {self.control}")
         if self.target < 0:
@@ -127,6 +130,7 @@ class CircuitLayer:
     noise: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        require_integer(self.num_tracks, name="num_tracks")
         if self.num_tracks < 1:
             raise ValueError(
                 f"num_tracks: must be a positive integer, got {self.num_tracks}"

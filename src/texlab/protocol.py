@@ -17,6 +17,9 @@ candidate bases; deterministic probe runs polish the candidates to machine
 precision, select the consistent ones, pair controls with targets, pin the
 remaining physical phase of the basis, and classify the single-qubit gates
 against the dictionary {I, H, T, S}.
+
+Each reconstruction's gauge partner, in which every CNOT points the other
+way (the (H x H) CNOT (H x H) identity), is derived, not searched for.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .circuit import (
     run_layer_with_inputs,
 )
 from .linalg import principal_eigenvector
-from .serialize import ARTIFACT_VERSION, dumps_csv
+from .serialize import ARTIFACT_VERSION, dumps_csv, require_integer
 from .states import QubitBasis, basis_distance
 
 DEFAULT_TRIALS = 100_000
@@ -150,8 +153,7 @@ def master_generator(seed: int) -> np.random.Generator:
     Trial t of the protocol consumes stream positions 2t and 2t+1, so the
     trial inputs are a pure function of (seed, trial index).
     """
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError(f"seed: expected an integer, got {seed!r}")
+    require_integer(seed, name="seed")
     if not 0 <= int(seed) < 2**64:
         raise ValueError(f"seed: must lie in [0, 2^64), got {seed}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
@@ -182,10 +184,13 @@ def run_protocol(
     same values, so each role is simulated once and its tracks share the
     moments; binomials are still drawn per track.
     """
+    require_integer(trials, name="trials")
     if trials < 1:
         raise ValueError(f"trials: must be a positive integer, got {trials}")
-    if shots is not None and shots < 1:
-        raise ValueError(f"shots: must be a positive integer, got {shots}")
+    if shots is not None:
+        require_integer(shots, name="shots")
+        if shots < 1:
+            raise ValueError(f"shots: must be a positive integer, got {shots}")
     psi = _trial_kets(layer.hidden_basis, seed, trials)
     p, q = layer.noise
     mats = layer.gate_matrices
@@ -372,20 +377,20 @@ def detect_cnot_tracks(
 class CandidateBasis:
     """One hidden-basis hypothesis recovered from the track averages.
 
-    ``sign_choice`` records the signs chosen for (sin lambda, sin chi);
-    ``swapped`` marks the control/target association branch. ``degenerate``
-    only labels a candidate of the short-circuit for |alpha|^2 near 0 or 1
-    (the relabeled computational basis); no stage prefers or drops it.
+    ``sign_choice`` records the signs chosen for (sin lambda, sin chi); a
+    derived gauge partner keeps the ``sign_choice`` of the candidate it was
+    derived from. ``degenerate`` only labels a candidate of the
+    short-circuit for |alpha|^2 near 0 or 1 (the relabeled computational
+    basis); no stage prefers or drops it.
     """
 
     basis: QubitBasis
     sign_choice: tuple[int, int]
-    swapped: bool
     degenerate: bool = False
 
 
 def _branch_candidates(
-    x: float, xt: float, y: float, yt: float, stderr: float, swapped: bool
+    x: float, xt: float, y: float, yt: float, stderr: float
 ) -> list[CandidateBasis]:
     tol_edge = max(10.0 * stderr, 1e-9)
     tol_fit = max(6.0 * stderr, 1e-9)
@@ -396,9 +401,7 @@ def _branch_candidates(
     if r_alpha > 1.0 - DEGENERACY_FLOOR or r_alpha < DEGENERACY_FLOOR:
         alpha = 1.0 if r_alpha > 0.5 else 0.0
         basis = QubitBasis(alpha=alpha, beta=1.0 - alpha)
-        return [
-            CandidateBasis(basis, sign_choice=(1, 1), swapped=swapped, degenerate=True)
-        ]
+        return [CandidateBasis(basis, sign_choice=(1, 1), degenerate=True)]
     mag_a = math.sqrt(r_alpha)
     mag_b = math.sqrt(1.0 - r_alpha)
     radius = math.hypot(yt - x, xt + y - 2.0)
@@ -416,17 +419,8 @@ def _branch_candidates(
                 beta = mag_b * complex(s_cc * cos_c_abs, s_sc * sin_c_abs)
                 basis = QubitBasis(alpha=alpha, beta=beta)
                 px, pxt, py, pyt = expected_averages(basis)
-                err = max(
-                    abs(px - x), abs(pxt - xt), abs(py - y), abs(pyt - yt)
-                )
-                scored.append(
-                    (
-                        err,
-                        CandidateBasis(
-                            basis=basis, sign_choice=(s_sl, s_sc), swapped=swapped
-                        ),
-                    )
-                )
+                err = max(abs(px - x), abs(pxt - xt), abs(py - y), abs(pyt - yt))
+                scored.append((err, CandidateBasis(basis, sign_choice=(s_sl, s_sc))))
     # The inversion amplifies measurement noise by roughly 1/min(|alpha|^2,
     # |beta|^2), so sign combos are pruned relative to the best fit rather
     # than at a fixed multiple of the standard error; downstream probe runs
@@ -446,23 +440,20 @@ def _branch_candidates(
 def recover_basis(averages, stderr: float = 0.0) -> list[CandidateBasis]:
     """Invert the four averages (X, X~, Y, Y~) into candidate bases.
 
-    Both control/target associations are tried (the direct reading first,
-    then the branch with X <-> X~ and Y <-> Y~ swapped), and within each
-    branch every sign assignment for (cos chi, sin lambda, sin chi) that
-    reproduces the measured averages within ``6 * stderr`` is kept
-    (cos lambda >= 0 fixes the redundant global sign). Generic averages give
-    two candidates per branch — a basis and its complex conjugate. A branch
-    whose |alpha|^2 estimate sits within ``DEGENERACY_FLOOR`` of 0 or 1
-    short-circuits to the relabeled computational basis.
+    The averages are read with the first pair as the control: every sign
+    assignment for (cos chi, sin lambda, sin chi) that reproduces them
+    within ``6 * stderr`` is kept (cos lambda >= 0 fixes the redundant global
+    sign), so generic averages give two candidates, a basis and its complex
+    conjugate. An |alpha|^2 estimate within ``DEGENERACY_FLOOR`` of 0 or 1
+    short-circuits to the relabeled computational basis. Only when this
+    reading gives no candidate are the averages read the other way round
+    (X <-> X~, Y <-> Y~); that reading finds the gauge partner of the
+    hidden basis, which ``identify_layer`` maps back.
     """
     x, xt, y, yt = (float(v) for v in averages)
     if stderr < 0.0:
         raise ValueError(f"stderr: must be non-negative, got {stderr!r}")
-    out = _branch_candidates(x, xt, y, yt, stderr, swapped=False)
-    for cand in _branch_candidates(xt, x, yt, y, stderr, swapped=True):
-        if all(basis_distance(cand.basis, c.basis) > 1e-9 for c in out):
-            out.append(cand)
-    return out
+    return _branch_candidates(x, xt, y, yt, stderr) or _branch_candidates(xt, x, yt, y, stderr)
 
 
 def _pooled_pair_stats(
@@ -522,9 +513,10 @@ def _track_fidelity(rho: np.ndarray, ket: np.ndarray) -> float:
     return float(np.real(ket.conj() @ rho @ ket))
 
 
-def _ray_distance(a: QubitBasis, b: QubitBasis) -> float:
-    """1 - |<a+|b+>|^2: distance between the |+> rays, phase-insensitive."""
-    return 1.0 - abs(np.vdot(a.plus_ket(), b.plus_ket())) ** 2
+def _on_ray(cand: CandidateBasis, others) -> bool:
+    """Whether 1 - |<a+|b+>|^2 < 1e-9 for the |+> kets of ``cand`` and one of ``others``."""
+    plus = cand.basis.plus_ket()
+    return any(1.0 - abs(np.vdot(plus, o.basis.plus_ket())) ** 2 < 1e-9 for o in others)
 
 
 def _product_test_min_fidelity(
@@ -600,16 +592,14 @@ def disambiguate(
     cnot_tracks = list(cnot_tracks)
     if not cnot_tracks:
         raise IdentificationError("no detected CNOT tracks to probe against")
-    probe_tracks = cnot_tracks + [
-        t for t in ambiguous_tracks if t not in cnot_tracks
-    ]
+    probe_tracks = cnot_tracks + [t for t in ambiguous_tracks if t not in cnot_tracks]
     passing: list[CandidateBasis] = []
     for cand in candidates:
         v = _polish_candidate(layer, cand.basis, probe_tracks, cnot_tracks)
         if v is None:
             continue
         polished = replace(cand, basis=QubitBasis.from_plus_ket(v))
-        if all(_ray_distance(kept.basis, polished.basis) >= 1e-9 for kept in passing):
+        if not _on_ray(polished, passing):
             passing.append(polished)
     return passing
 
@@ -803,11 +793,13 @@ def identify_layer(
     status "partial". Otherwise candidates are recovered from the pooled
     averages, polished and selected by deterministic probes, controls are
     paired with targets, the basis phase is pinned, and the remaining tracks
-    are classified. Status is "full" exactly when one reconstruction
-    explains everything and some track carries T or S; unknown gates
-    downgrade the status to "partial". When several reconstructions explain
-    every probe equally well, the first is reported as ``selected`` and the
-    status is "partial".
+    are classified. Each reconstruction is joined by its derived gauge
+    partner (``_gauge_partner``), the same operator with every CNOT pair
+    reversed. Status is "full" exactly when one reconstruction explains
+    everything; unknown gates downgrade the status to "partial". When
+    several reconstructions explain every probe equally well, as a survivor
+    and its partner do on a layer whose single-qubit tracks are all I or H,
+    the first is reported as ``selected`` and the status is "partial".
 
     Every well-formed layer gets a report: a stage that stops the pipeline
     (no candidate basis, none passing the CNOT product test, every survivor
@@ -882,42 +874,49 @@ def identify_layer(
         return report()
     survivors = disambiguate(layer, candidates, detected, ambiguous)
     if not survivors:
+        # The reversed reading finds the partner (or is ``candidates`` again).
+        partner_reading = recover_basis((x2, x1, y2, y1), stderr=pooled_err)
+        if partner_reading != candidates:
+            survivors = disambiguate(layer, partner_reading, detected, ambiguous)
+    if not survivors:
         notes.append("no candidate basis passes the CNOT product test")
         return report()
 
+    # Each reconstruction comes with its gauge partner: every CNOT pair
+    # reversed in the basis |+'> = i(|+>+|->)/sqrt(2) ((|+>+|->)/sqrt(2) is
+    # right only as a ray). A later survivor on a ray among the results is
+    # skipped, so pairing and pinning run once per gauge pair. Results
+    # alternate: survivor, partner.
     results = []
-    for index, cand in enumerate(survivors):
+    for cand in survivors:
+        if _on_ray(cand, [r[0] for r in results]):
+            continue
         try:
-            pairs, _cleared = pairing_probe(
-                layer, cand.basis, list(detected) + list(ambiguous)
-            )
+            pairs, _cleared = pairing_probe(layer, cand.basis, detected + ambiguous)
         except IdentificationError as exc:
             notes.append(f"candidate rejected while pairing: {exc}")
             continue
         paired_tracks = {t for pr in pairs for t in pr}
         missing = [t for t in detected if t not in paired_tracks]
         if missing:
-            notes.append(
-                f"candidate rejected: detected tracks {missing} found no partner"
-            )
+            notes.append(f"candidate rejected: detected tracks {missing} found no partner")
             continue
         try:
-            pinned_basis = _pin_basis_phase(layer, cand.basis, pairs[0])
+            pinned = replace(cand, basis=_pin_basis_phase(layer, cand.basis, pairs[0]))
         except IdentificationError as exc:
             notes.append(f"candidate rejected while pinning the phase: {exc}")
             continue
-        pinned = replace(cand, basis=pinned_basis)
-        single_tracks = [
-            t for t in range(layer.num_tracks) if t not in paired_tracks
-        ]
-        gates = classify_single_qubit_gates(layer, pinned.basis, single_tracks)
-        results.append((index, pinned, pairs, gates))
+        single_tracks = [t for t in range(layer.num_tracks) if t not in paired_tracks]
+        partner = replace(cand, basis=_gauge_partner(pinned.basis), degenerate=False)
+        for member, member_pairs in ((pinned, pairs), (partner, [(t, c) for c, t in pairs])):
+            gates = classify_single_qubit_gates(layer, member.basis, single_tracks)
+            results.append((member, member_pairs, gates))
 
     if not results:
         notes.append("every candidate basis failed the deterministic probe stages")
         return report(candidates=survivors)
 
-    complete = [r for r in results if "unknown" not in r[3].values()]
+    complete = [r for r in results if "unknown" not in r[2].values()]
     pool = complete or results
     resolved = len(pool) == 1
     if not resolved:
@@ -925,8 +924,7 @@ def identify_layer(
             "several reconstructions explain all probes equally well; "
             "reporting the first (the layer is observationally degenerate)"
         )
-    chosen_index, chosen, pairs, gate_labels = pool[0]
-    gate_labels = dict(gate_labels)
+    chosen, pairs, gate_labels = pool[0]
     for c, t in pairs:
         gate_labels[c] = "CNOT_CONTROL"
         gate_labels[t] = "CNOT_TARGET"
@@ -934,26 +932,26 @@ def identify_layer(
     if not classified_ok:
         unknowns = sorted(t for t, g in gate_labels.items() if g == "unknown")
         notes.append(f"tracks {unknowns} match no dictionary gate")
-    status = "full" if (classified_ok and resolved) else "partial"
-    if status == "full" and not {"T", "S"} & set(gate_labels.values()):
-        # I and H read the same in the partner basis (|+>+|->)/sqrt(2), in
-        # which every CNOT points the other way.
-        notes.append(
-            "no track carries T or S: the partner basis with every CNOT pair "
-            "reversed explains all probes equally well"
-        )
-        status = "partial"
 
-    all_candidates = [
-        chosen if i == chosen_index else cand for i, cand in enumerate(survivors)
-    ]
+    # Each survivor, the chosen reconstruction standing in on its own ray,
+    # then the derived partners that lie on no survivor's ray.
+    derived = [r[0] for r in results[1::2] if not _on_ray(r[0], survivors)]
+    all_candidates = [chosen if _on_ray(c, [chosen]) else c for c in survivors + derived]
     return report(
         candidates=all_candidates,
         selected=chosen,
         pairs=pairs,
         gates=gate_labels,
-        status=status,
+        status="full" if (classified_ok and resolved) else "partial",
     )
+
+
+def _gauge_partner(basis: QubitBasis) -> QubitBasis:
+    """Basis B' in which each CNOT of the pinned ``basis`` B, control and
+    target exchanged, is the same operator, as are I and H (T and S are not):
+    |+'> = i(|+>+|->)/sqrt(2); (|+>+|->)/sqrt(2) is right only as a ray."""
+    ket = 1j * (basis.plus_ket() + basis.minus_ket()) / np.sqrt(2.0)
+    return QubitBasis.from_plus_ket(ket)
 
 
 # ---------------------------------------------------------------------------
@@ -978,10 +976,12 @@ def random_layer(
 
     When at least one non-CNOT track exists, the draw is repeated until some
     track carries T or S: layers whose single-qubit gates all lie in {I, H}
-    admit a second exact description (the superposition basis with every
-    control/target pair swapped), so such layers are not uniquely
+    admit a second exact description (the gauge partner basis with every
+    control/target pair reversed), so such layers are not uniquely
     identifiable even in principle.
     """
+    require_integer(num_tracks, name="num_tracks")
+    require_integer(num_cnots, name="num_cnots")
     if num_tracks < 1:
         raise ValueError(f"num_tracks: must be positive, got {num_tracks}")
     if num_cnots < 0 or 2 * num_cnots > num_tracks:
@@ -1034,7 +1034,6 @@ def _candidate_dict(cand: CandidateBasis) -> dict:
         "alpha": [cand.basis.alpha.real, cand.basis.alpha.imag],
         "beta": [cand.basis.beta.real, cand.basis.beta.imag],
         "sign_choice": [cand.sign_choice[0], cand.sign_choice[1]],
-        "swapped": cand.swapped,
         "degenerate": cand.degenerate,
     }
 

@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-ARTIFACT_VERSION = "0.1.0"
+ARTIFACT_VERSION = "0.2.0"
 
 
 def format_float(value: float) -> str:
@@ -101,6 +101,13 @@ def parse_float_field(value: Any, *, name: str) -> float:
     if isinstance(value, (int, float)):
         return float(value)
     raise ValueError(f"{name}: expected a number, got {type(value).__name__}")
+
+
+def require_integer(value: Any, *, name: str) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer (a
+    NumPy integer counts, a bool does not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
 
 
 def parse_complex_field(value: Any, *, name: str) -> complex:

@@ -357,7 +357,7 @@ CLI_OUTPUT_DIGESTS = {
     ),
     "texture-ket-json": (
         ["texture", "--in", "ket.json"],
-        "efa1f66df5a0b4178aab7c33a227c2b07b7fe334e64c6d2351381f954267bed0",
+        "ea440984f51129efc2c7cd41446339e3652970868c4f10cb48d8256f6a7291a5",
     ),
     "paramagnet-csv": (
         ["paramagnet", "--grid", "0:5:6", "--format", "csv"],
