@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import as_complex_matrix, as_ket
-from .serialize import parse_complex_field
+from .serialize import parse_complex_field, require_integer
 from .states import DensityOperator, fourier_ket
 
 #: Frobenius tolerance on sum(K^dag K) = identity.
@@ -55,6 +55,7 @@ class KrausChannel:
     operators: tuple[np.ndarray, ...]
 
     def __post_init__(self):
+        require_integer(self.dim, name="dim")
         if self.dim < 1:
             raise ValueError(f"dim: must be a positive integer, got {self.dim}")
         ops = []

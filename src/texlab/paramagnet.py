@@ -27,7 +27,7 @@ import numbers
 import numpy as np
 
 from .protocol import master_generator
-from .serialize import ARTIFACT_VERSION, dumps_csv
+from .serialize import ARTIFACT_VERSION, dumps_csv, require_integer
 from .states import DensityOperator
 
 #: Relative tolerance at which the quadrature stops halving its step.
@@ -133,6 +133,7 @@ def sampled_rugosity_per_spin(
 ) -> tuple[float, float]:
     """Monte Carlo estimate (mean, stderr) of the phase-averaged rugosity."""
     x = _validate_x(x)
+    require_integer(samples, name="samples")
     if samples < 2:
         raise ValueError(f"samples: must be at least 2, got {samples}")
     gen = master_generator(seed)

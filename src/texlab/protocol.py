@@ -12,11 +12,13 @@ hidden basis (alpha, beta) = (|alpha| e^{i lambda}, |beta| e^{i chi}):
                   Y~ = 1 + (|alpha|^2 - |beta|^2) / 3
 
 The combined deviation of a CNOT pair is bounded below by 1/9, so a
-threshold test detects every CNOT. The averages invert to a small family of
-candidate bases; deterministic probe runs polish the candidates to machine
-precision, select the consistent ones, pair controls with targets, pin the
-remaining physical phase of the basis, and classify the single-qubit gates
-against the dictionary {I, H, T, S}.
+threshold test detects every CNOT. The pooled averages, read in a fixed
+order (signature clusters, then groups of exact means, each read directly
+and reversed), invert to small families of candidate bases; deterministic
+probe runs polish the candidates to machine precision, select the
+consistent ones of the first reading that has any, pair controls with
+targets, pin the remaining physical phase of the basis, and classify the
+single-qubit gates against the dictionary {I, H, T, S}.
 
 Each reconstruction's gauge partner, in which every CNOT points the other
 way (the (H x H) CNOT (H x H) identity), is derived, not searched for.
@@ -59,6 +61,9 @@ DEGENERACY_FLOOR = 0.01
 #: The spurious fixed rays of a CNOT sit at squared overlap 1/2 from the true
 #: basis ket, so 0.7 separates refinement from capture by a wrong fixed point.
 BASIN_MIN_OVERLAP = 0.7
+
+#: Note of a report whose candidates come from the exact-mean pooling.
+_SPLIT_NOTE = "control and target signatures merged; detected tracks split by their exact means"
 
 #: Key tag of the derived stream used for shot-noise binomials.
 _SHOT_TAG = 0x53484F54
@@ -389,9 +394,23 @@ class CandidateBasis:
     degenerate: bool = False
 
 
-def _branch_candidates(
-    x: float, xt: float, y: float, yt: float, stderr: float
-) -> list[CandidateBasis]:
+def recover_basis(averages, stderr: float = 0.0) -> list[CandidateBasis]:
+    """Invert the four averages (X, X~, Y, Y~), read one way with the first
+    pair as the control, into candidate bases. The reversed reading
+    (X <-> X~, Y <-> Y~) finds the gauge partner of the hidden basis.
+
+    Every sign assignment for (cos chi, sin lambda, sin chi) that reproduces
+    them within ``6 * stderr`` is kept (cos lambda >= 0 fixes the redundant
+    global sign), so generic averages give two candidates, a basis and its
+    complex conjugate. An |alpha|^2 estimate within ``DEGENERACY_FLOOR`` of
+    0 or 1 short-circuits to the relabeled computational basis. A non-finite
+    average or a negative or non-finite ``stderr`` raises ValueError.
+    """
+    x, xt, y, yt = (float(v) for v in averages)
+    if not all(map(math.isfinite, (x, xt, y, yt))):
+        raise ValueError(f"averages: must be finite, got {averages!r}")
+    if not (math.isfinite(stderr) and stderr >= 0.0):
+        raise ValueError(f"stderr: must be finite and non-negative, got {stderr!r}")
     tol_edge = max(10.0 * stderr, 1e-9)
     tol_fit = max(6.0 * stderr, 1e-9)
     r_alpha = 1.5 * yt - 1.0
@@ -437,72 +456,49 @@ def _branch_candidates(
     return found
 
 
-def recover_basis(averages, stderr: float = 0.0) -> list[CandidateBasis]:
-    """Invert the four averages (X, X~, Y, Y~) into candidate bases.
+def _pair_readings(stats: list[TrackStats], detected: list[int], ambiguous: list[int]):
+    """Yield ((X, X~, Y, Y~), stderr, split) for each reading of the pooled
+    detected-track means, in the order ``identify_layer`` tries them.
 
-    The averages are read with the first pair as the control: every sign
-    assignment for (cos chi, sin lambda, sin chi) that reproduces them
-    within ``6 * stderr`` is kept (cos lambda >= 0 fixes the redundant global
-    sign), so generic averages give two candidates, a basis and its complex
-    conjugate. An |alpha|^2 estimate within ``DEGENERACY_FLOOR`` of 0 or 1
-    short-circuits to the relabeled computational basis. Only when this
-    reading gives no candidate are the averages read the other way round
-    (X <-> X~, Y <-> Y~); that reading finds the gauge partner of the
-    hidden basis, which ``identify_layer`` maps back.
-    """
-    x, xt, y, yt = (float(v) for v in averages)
-    if stderr < 0.0:
-        raise ValueError(f"stderr: must be non-negative, got {stderr!r}")
-    return _branch_candidates(x, xt, y, yt, stderr) or _branch_candidates(xt, x, yt, y, stderr)
-
-
-def _pooled_pair_stats(
-    stats: list[TrackStats], detected: list[int], ambiguous: list[int], *, exact_split=False
-) -> tuple[tuple[float, float], tuple[float, float], float] | None:
-    """Pool detected-track statistics into one (control-like, target-like)
-    pair of (computational, Fourier) means plus a combined standard error.
-
-    Clusters of identical signatures are pooled together; when only one
-    signature is visible the partner slot is filled from the ambiguous
-    tracks, or with the featureless point (1, 1) if there are none.
-
-    With ``exact_split`` the detected tracks are grouped by their exact
-    means (without shots all controls share bit-identical means, as do all
-    targets); None unless that gives two groups of equal size.
+    Each pooling gives a (control-like, target-like) pair of (computational,
+    Fourier) means, larger group first, and is read directly, then the other
+    way round. First come clusters of statistically identical signatures;
+    with one signature visible, the partner slot is pooled from the
+    ambiguous tracks, or is the featureless point (1, 1) if there are none.
+    Then, with ``split`` True and only if the detected tracks form two
+    equal-size groups of bit-identical means (as all controls, and all
+    targets, do without shots), the groups of exact means.
     """
     by_track = {s.track: s for s in stats}
-    detected_stats = [by_track[t] for t in detected]
-    if exact_split:
-        groups: dict[tuple[float, float], list[TrackStats]] = {}
-        for stat in detected_stats:
-            groups.setdefault((stat.x_like, stat.y_like), []).append(stat)
-        clusters = list(groups.values())
-        if len(clusters) != 2 or len(clusters[0]) != len(clusters[1]):
-            return None
-    else:
-        clusters = _signature_clusters(detected_stats)
-    clusters.sort(key=lambda c: (-len(c), min(s.track for s in c)))
+    members = [by_track[t] for t in detected]
+    groups: dict[tuple[float, float], list[TrackStats]] = {}
+    for stat in members:
+        groups.setdefault((stat.x_like, stat.y_like), []).append(stat)
+    exact = list(groups.values())
+    poolings = [(_signature_clusters(members), False)]
+    if len(exact) == 2 and len(exact[0]) == len(exact[1]):
+        poolings.append((exact, True))
 
-    def pool(members: list[TrackStats]) -> tuple[float, float, float]:
-        xs = [s.x_like for s in members]
-        ys = [s.y_like for s in members]
-        ses = [max(s.stderr_x, s.stderr_y) for s in members]
-        k = len(members)
+    def pool(group: list[TrackStats]) -> tuple[float, float, float]:
+        ses = [max(s.stderr_x, s.stderr_y) for s in group]
         return (
-            float(np.mean(xs)),
-            float(np.mean(ys)),
-            float(math.sqrt(sum(se**2 for se in ses)) / k),
+            float(np.mean([s.x_like for s in group])),
+            float(np.mean([s.y_like for s in group])),
+            float(math.sqrt(sum(se**2 for se in ses)) / len(group)),
         )
 
-    x1, y1, se1 = pool(clusters[0])
-    if len(clusters) >= 2:
-        x2, y2, se2 = pool(clusters[1])
-    elif ambiguous:
-        x2, y2, se2 = pool([by_track[t] for t in ambiguous])
-    else:
-        fallback = max(max(s.stderr_x, s.stderr_y) for s in detected_stats)
-        x2, y2, se2 = 1.0, 1.0, fallback
-    return (x1, y1), (x2, y2), max(se1, se2)
+    for clusters, split in poolings:
+        clusters.sort(key=lambda c: (-len(c), min(s.track for s in c)))
+        x1, y1, se1 = pool(clusters[0])
+        if len(clusters) >= 2:
+            x2, y2, se2 = pool(clusters[1])
+        elif ambiguous:
+            x2, y2, se2 = pool([by_track[t] for t in ambiguous])
+        else:
+            x2, y2, se2 = 1.0, 1.0, max(max(s.stderr_x, s.stderr_y) for s in members)
+        stderr = max(se1, se2)
+        yield (x1, x2, y1, y2), stderr, split
+        yield (x2, x1, y2, y1), stderr, split
 
 
 # ---------------------------------------------------------------------------
@@ -790,15 +786,17 @@ def identify_layer(
 
     Detection always runs. With nonzero noise parameters the pipeline stops
     after detection (basis recovery requires noise characterization) with
-    status "partial". Otherwise candidates are recovered from the pooled
-    averages, polished and selected by deterministic probes, controls are
-    paired with targets, the basis phase is pinned, and the remaining tracks
-    are classified. Each reconstruction is joined by its derived gauge
-    partner (``_gauge_partner``), the same operator with every CNOT pair
-    reversed. Status is "full" exactly when one reconstruction explains
-    everything; unknown gates downgrade the status to "partial". When
-    several reconstructions explain every probe equally well, as a survivor
-    and its partner do on a layer whose single-qubit tracks are all I or H,
+    status "partial". Otherwise the readings of the pooled averages
+    (``_pair_readings``) are inverted in turn, skipping a candidate list
+    already tried, until one's candidates pass the polish and the CNOT
+    product test. The survivors' controls are paired with targets, the
+    basis phase is pinned, and the remaining tracks are classified. Each
+    reconstruction is joined by its derived gauge partner
+    (``_gauge_partner``), the same operator with every CNOT pair reversed.
+    Status is "full" exactly when one reconstruction explains everything;
+    unknown gates downgrade the status to "partial". When several
+    reconstructions explain every probe equally well, as a survivor and its
+    partner do on a layer whose single-qubit tracks are all I or H,
     the first is reported as ``selected`` and the status is "partial".
 
     Every well-formed layer gets a report: a stage that stops the pipeline
@@ -854,32 +852,24 @@ def identify_layer(
             )
         return report()
 
-    (x1, y1), (x2, y2), pooled_err = _pooled_pair_stats(stats, detected, ambiguous)
-    candidates = recover_basis((x1, x2, y1, y2), stderr=pooled_err)
-    if not candidates:
-        # Control and target signatures closer than the clustering slack
-        # merge into one cluster, and the partner slot is filled from other
-        # tracks; split the detected tracks by their exact means instead.
-        split = _pooled_pair_stats(stats, detected, ambiguous, exact_split=True)
-        if split is not None:
-            (x1, y1), (x2, y2), pooled_err = split
-            candidates = recover_basis((x1, x2, y1, y2), stderr=pooled_err)
-            if candidates:
-                notes.append(
-                    "control and target signatures merged; detected tracks "
-                    "split by their exact means"
-                )
-    if not candidates:
-        notes.append("no self-consistent candidate basis for the measured averages")
-        return report()
-    survivors = disambiguate(layer, candidates, detected, ambiguous)
+    tried: list[list[CandidateBasis]] = []
+    survivors: list[CandidateBasis] = []
+    for averages, stderr, split in _pair_readings(stats, detected, ambiguous):
+        candidates = recover_basis(averages, stderr=stderr)
+        if not candidates or candidates in tried:
+            continue
+        if split and _SPLIT_NOTE not in notes:
+            notes.append(_SPLIT_NOTE)
+        tried.append(candidates)
+        survivors = disambiguate(layer, candidates, detected, ambiguous)
+        if survivors:
+            break
     if not survivors:
-        # The reversed reading finds the partner (or is ``candidates`` again).
-        partner_reading = recover_basis((x2, x1, y2, y1), stderr=pooled_err)
-        if partner_reading != candidates:
-            survivors = disambiguate(layer, partner_reading, detected, ambiguous)
-    if not survivors:
-        notes.append("no candidate basis passes the CNOT product test")
+        notes.append(
+            "no candidate basis passes the CNOT product test"
+            if tried
+            else "no self-consistent candidate basis for the measured averages"
+        )
         return report()
 
     # Each reconstruction comes with its gauge partner: every CNOT pair

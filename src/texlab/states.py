@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_complex_matrix, as_ket
+from .serialize import require_integer
 
 #: Hermiticity / trace tolerances for density-operator validation.
 HERMITICITY_ATOL = 1e-10
@@ -33,6 +34,8 @@ def fourier_ket(dim: int, index: int) -> np.ndarray:
     Component j (1-based) is exp(2*pi*i*(index-1)*(j-1)/dim) / sqrt(dim).
     ``index=1`` gives the uniform-superposition ket.
     """
+    require_integer(dim, name="dim")
+    require_integer(index, name="index")
     if dim < 1:
         raise ValueError(f"dim: must be a positive integer, got {dim}")
     if not 1 <= index <= dim:
@@ -44,6 +47,7 @@ def fourier_ket(dim: int, index: int) -> np.ndarray:
 
 def fourier_matrix(dim: int) -> np.ndarray:
     """Unitary whose k-th column is ``fourier_ket(dim, k)``."""
+    require_integer(dim, name="dim")
     return np.stack([fourier_ket(dim, k) for k in range(1, dim + 1)], axis=1)
 
 
@@ -91,6 +95,7 @@ class DensityOperator:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
+        require_integer(dim, name="dim")
         if dim < 1:
             raise ValueError(f"dim: must be a positive integer, got {dim}")
         return cls(np.eye(dim, dtype=np.complex128) / dim)

@@ -484,6 +484,67 @@ def test_recover_basis_rejects_impossible_averages_and_bad_stderr():
         recover_basis((1.0, 1.0, 1.0, 1.0), stderr=-0.1)
 
 
+@pytest.mark.parametrize(
+    "averages, stderr, field",
+    [
+        ((math.nan, 1.0, 1.0, 1.0), 0.0, "averages"),
+        ((1.0, 1.0, -math.inf, 1.0), 0.0, "averages"),
+        ((1.0, 1.0, 1.0, 1.0), math.nan, "stderr"),
+        ((1.0, 1.0, 1.0, 1.0), math.inf, "stderr"),
+    ],
+)
+def test_recover_basis_rejects_non_finite_input(averages, stderr, field):
+    # A NaN average used to give candidates, and a NaN or infinite stderr
+    # passed the sign check and switched the pruning off.
+    with pytest.raises(ValueError, match=rf"^{field}: must be finite"):
+        recover_basis(averages, stderr=stderr)
+
+
+def test_pair_readings_order_split_and_partner_slot():
+    def readings(stats, detected, ambiguous=()):
+        return list(protocol._pair_readings(stats, detected, list(ambiguous)))
+
+    # Controls (0.8, 1.2) on tracks 1 and 3, targets (1.1, 0.9) on 0 and 2:
+    # both poolings give the same groups, the one holding track 0 first.
+    se = 1e-4
+    pooled_se = pytest.approx(math.sqrt(2.0) * se / 2.0, rel=1e-12)
+    stats = [_stat(0, 1.1, 0.9), _stat(1, 0.8, 1.2), _stat(2, 1.1, 0.9), _stat(3, 0.8, 1.2)]
+    direct, reversed_ = (1.1, 0.8, 0.9, 1.2), (0.8, 1.1, 1.2, 0.9)
+    assert readings(stats, [0, 1, 2, 3]) == [
+        (direct, pooled_se, False),
+        (reversed_, pooled_se, False),
+        (direct, pooled_se, True),
+        (reversed_, pooled_se, True),
+    ]
+
+    # Two tracks within the clustering slack pool into one signature but
+    # split into two equal groups of exact means; the split comes last.
+    merged = [_stat(0, 0.8, 1.2), _stat(1, 0.801, 1.201), _stat(2, 1.02, 0.99)]
+    got = readings(merged, [0, 1], ambiguous=[2])
+    assert [split for _, _, split in got] == [False, False, True, True]
+    assert got[0][0] == (pytest.approx(0.8005), 1.02, pytest.approx(1.2005), 0.99)
+    assert got[2][0] == (0.8, 0.801, 1.2, 1.201)
+    assert got[3][0] == (0.801, 0.8, 1.201, 1.2)
+
+    # No split for unequal exact groups or for more than two of them.
+    uneven = [_stat(0, 0.8, 1.2), _stat(1, 0.8, 1.2), _stat(2, 1.1, 0.9)]
+    assert [s for _, _, s in readings(uneven, [0, 1, 2])] == [False, False]
+    three = [_stat(0, 0.8, 1.2), _stat(1, 0.8001, 1.2), _stat(2, 0.8002, 1.2)]
+    assert [s for _, _, s in readings(three, [0, 1, 2])] == [False, False]
+
+    # One visible signature: the partner slot is pooled from the ambiguous
+    # tracks, or is (1, 1) with the detected stderr when there are none.
+    lone = [_stat(0, 0.8, 1.2, se=0.002), _stat(1, 1.03, 0.98, se=0.001)]
+    assert readings(lone, [0], ambiguous=[1]) == [
+        ((0.8, 1.03, 1.2, 0.98), 0.002, False),
+        ((1.03, 0.8, 0.98, 1.2), 0.002, False),
+    ]
+    assert readings(lone, [0]) == [
+        ((0.8, 1.0, 1.2, 1.0), 0.002, False),
+        ((1.0, 0.8, 1.0, 1.2), 0.002, False),
+    ]
+
+
 # ---------------------------------------------------------------------------
 # deterministic probes
 
@@ -965,6 +1026,28 @@ def test_identify_splits_merged_cnot_signatures(layer_kwargs, identify_seed):
     # pool into one signature and the first inversion finds no candidate.
     layer = random_layer(**layer_kwargs, min_component=0.15)
     report = identify_layer(layer, seed=identify_seed)
+    _assert_full_and_true(layer, report)
+    assert any("exact means" in note for note in report.notes)
+
+
+def test_split_reading_follows_pooled_readings_that_fail(monkeypatch):
+    # Control and target pool into one signature here, so the pooled
+    # readings invert averages far from the true ones. With both of them
+    # rejected by the product test, the reading split by exact means is
+    # tried next and recovers the layer.
+    layer = random_layer(
+        num_tracks=3, num_cnots=1, seed=5212534673449058048, min_component=0.15
+    )
+    real = protocol.disambiguate
+    calls = []
+
+    def reject_first_two(*args, **kwargs):
+        calls.append(args[1])
+        return [] if len(calls) <= 2 else real(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "disambiguate", reject_first_two)
+    report = identify_layer(layer, seed=6248916835513896684, trials=2000)
+    assert len(calls) == 3
     _assert_full_and_true(layer, report)
     assert any("exact means" in note for note in report.notes)
 

@@ -1,13 +1,16 @@
-"""Tests for canonical serialization."""
+"""Tests for canonical serialization and the integer-argument check."""
 
 from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from texlab.channels import KrausChannel
+from texlab.paramagnet import sampled_rugosity_per_spin
 from texlab.serialize import (
     complex_pair,
     dumps_canonical,
@@ -15,6 +18,7 @@ from texlab.serialize import (
     parse_complex_field,
     parse_float_field,
 )
+from texlab.states import DensityOperator, fourier_ket, fourier_matrix
 
 
 def test_format_float_round_trips_doubles():
@@ -94,3 +98,31 @@ def test_parse_complex_field():
         parse_complex_field("1+2j", name="z")
     with pytest.raises(ValueError, match="z"):
         parse_complex_field([1.0], name="z")
+
+
+#: argument -> (call with a value, name in the message, a valid value)
+INTEGER_ARGUMENTS = {
+    "fourier_ket.dim": (lambda v: fourier_ket(v, 1), "dim", 4),
+    "fourier_ket.index": (lambda v: fourier_ket(4, v), "index", 2),
+    "fourier_matrix.dim": (fourier_matrix, "dim", 3),
+    "DensityOperator.maximally_mixed.dim": (DensityOperator.maximally_mixed, "dim", 2),
+    "KrausChannel.dim": (
+        lambda v: KrausChannel(dim=v, operators=(np.eye(2, dtype=complex),)), "dim", 2
+    ),
+    "sampled_rugosity_per_spin.samples": (
+        lambda v: sampled_rugosity_per_spin(1.0, samples=v, seed=3), "samples", 10
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+def test_integer_arguments_reject_floats_and_bools(name):
+    # fourier_ket(4, 1.5) used to return a ket outside the Fourier basis,
+    # True to pass as 1, and a float dim or sample count to fail later with
+    # a TypeError.
+    call, field, good = INTEGER_ARGUMENTS[name]
+    for bad in (good + 0.5, float(good), True):
+        message = rf"^{field}: expected an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            call(bad)
+    call(np.int64(good))
