@@ -11,6 +11,10 @@ hidden basis (alpha, beta) = (|alpha| e^{i lambda}, |beta| e^{i chi}):
 * target track:   X~ = 1 + 2 Re(conj(alpha) beta) / 3
                   Y~ = 1 + (|alpha|^2 - |beta|^2) / 3
 
+Each per-trial grand sum is a fixed form in the monomials of degree <= 2
+of the input's hidden-basis Bloch vector, so the trial engine reads every
+track's mean and standard error off one Gram matrix of those monomials.
+
 The combined deviation of a CNOT pair is bounded below by 1/9, so a
 threshold test detects every CNOT. The pooled averages, read in a fixed
 order (signature clusters, then groups of exact means, each read directly
@@ -68,11 +72,23 @@ _SPLIT_NOTE = "control and target signatures merged; detected tracks split by th
 #: Key tag of the derived stream used for shot-noise binomials.
 _SHOT_TAG = 0x53484F54
 
-#: Most trials per matrix product in the trial engine. OpenBLAS hands a
-#: product with m * n * k >= 65536 to worker threads, which then busy-wait
-#: between calls and take a core from everything else that runs; 2048 rows
-#: against a 4x4 gate stay on the calling thread.
-_MATMUL_ROWS = 2048
+#: Trials per Gram block. One block's product of its 10 features with
+#: themselves, or of up to 12 role forms with its features in shot mode,
+#: stays below OpenBLAS's threading bound m * n * k < 65536
+#: (12 * 10 * 512 = 61440): above it the worker threads busy-wait between
+#: calls and take a core from everything else that runs.
+_BLOCK = 512
+
+#: Gram blocks whose features one pass of the trial engine builds.
+_CHUNK_BLOCKS = 64
+
+#: Pauli matrices (I, X, Y, Z): a qubit with Bloch vector r has density
+#: matrix sum_a r_a sigma_a / 2 with r_0 = 1.
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+#: Observables whose expectations are a qubit's (computational, Fourier)
+#: grand sums: the sum of all density-matrix entries, and twice rho_00.
+_GRAND_SUMS = (np.ones((2, 2)), np.diag([2.0, 0.0]))
 
 
 class IdentificationError(RuntimeError):
@@ -179,15 +195,15 @@ def run_protocol(
     """Estimate every track's mean grand sums over randomized trials.
 
     Each trial draws one Haar-random qubit (two uniforms from the seeded
-    counter-based stream) and feeds identical copies into all tracks; the
-    exact per-trial grand sums are computed in both measurement bases, with
-    the layer's noise parameters entering as exact per-run mixtures. With
-    ``shots`` set, each exact value is replaced by a binomial estimate drawn
-    from a second derived stream in fixed track-major order.
-
-    All tracks of one role (gate kind, CNOT control, CNOT target) see the
-    same values, so each role is simulated once and its tracks share the
-    moments; binomials are still drawn per track.
+    counter-based stream) and feeds identical copies into all tracks. A
+    track's exact per-trial grand sum in either measurement basis is a fixed
+    form in the monomials of degree <= 2 of the input's Bloch vector
+    (``_role_forms``), with the layer's noise parameters folded in as exact
+    per-run mixtures. So the means and standard errors of every track come
+    from one Gram matrix of the trials' monomials. With ``shots`` set, each
+    exact value, evaluated per trial from the same forms, is replaced by a
+    binomial estimate drawn from a second derived stream in fixed
+    track-major order.
     """
     require_integer(trials, name="trials")
     if trials < 1:
@@ -196,123 +212,162 @@ def run_protocol(
         require_integer(shots, name="shots")
         if shots < 1:
             raise ValueError(f"shots: must be a positive integer, got {shots}")
-    psi = _trial_kets(layer.hidden_basis, seed, trials)
-    p, q = layer.noise
-    mats = layer.gate_matrices
     roles = [(kind, side) for kind, side, _pair in layer.track_roles]
-    # (kind, side) -> the moments of its per-trial (computational, Fourier)
-    # grand sums, or with shots the binomial success probabilities sums / 2.
-    values: dict[tuple, tuple] = {}
-    for kind in dict.fromkeys(kind for kind, _side in roles):
-        if kind is GateKind.CNOT:
-            sides = zip(((kind, 0), (kind, 1)), _cnot_values(psi, mats[kind], p, q))
-        else:
-            sides = [((kind, None), _single_values(psi, mats[kind], p))]
-        for role, sums in sides:
-            if shots is None:
-                values[role] = _moments(*sums)
-            else:
-                values[role] = tuple(np.clip(v / 2.0, 0.0, 1.0) for v in sums)
+    distinct = list(dict.fromkeys(roles))
+    forms = _role_forms(layer, distinct)
+    row = {role: 2 * i for i, role in enumerate(distinct)}
     if shots is None:
+        # Python's sum adds the blocks left to right, in trial order: the
+        # Gram of a run's first T trials, T a multiple of ``_BLOCK``, is bit
+        # for bit that of a T-trial run.
+        gram = sum(_block_grams(seed, trials))
+        mean = gram[0] / trials
+        means = forms @ mean
+        stderr = np.zeros(len(forms))
+        if trials > 1:
+            cov = gram / trials - np.outer(mean, mean)
+            var = np.einsum("vi,ij,vj->v", forms, cov, forms) * (trials / (trials - 1))
+            stderr = np.sqrt(np.maximum(var, 0.0) / trials)
         return [
-            TrackStats(track, *values[role], trials=trials)
+            TrackStats(
+                track,
+                float(means[row[role]]),
+                float(means[row[role] + 1]),
+                float(stderr[row[role]]),
+                float(stderr[row[role] + 1]),
+                trials=trials,
+            )
             for track, role in enumerate(roles)
         ]
+    probs = _trial_probabilities(forms, seed, trials)
     shot_gen = _shot_generator(seed)
     stats = []
     for track, role in enumerate(roles):
-        draws = [2.0 * shot_gen.binomial(shots, prob) / shots for prob in values[role]]
-        stats.append(TrackStats(track, *_moments(*draws), trials=trials))
+        draws = 2.0 * shot_gen.binomial(shots, probs[row[role] : row[role] + 2]) / shots
+        means = [float(np.mean(d)) for d in draws]
+        stderr = [
+            float(np.std(d, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+            for d in draws
+        ]
+        stats.append(TrackStats(track, *means, *stderr, trials=trials))
     return stats
 
 
-def _trial_kets(basis: QubitBasis, seed: int, trials: int) -> np.ndarray:
-    """(trials, 2) computational-coordinate input kets of the trials.
+def _trial_features(seed: int, trials: int):
+    """Yield the trials' features in trial order, as (blocks, 10, _BLOCK)
+    views of one reused buffer.
 
-    Trial t is cos(theta/2)|+> + e^{i phi} sin(theta/2)|-> in ``basis``,
-    with cos(theta) = 1 - 2u and phi = 2 pi u' for its uniforms (u, u').
+    Trial t feeds the ket cos(theta/2)|+> + e^{i phi} sin(theta/2)|-> of the
+    hidden basis, with cos(theta) = 1 - 2u and phi = 2 pi u' for its uniforms
+    (u, u'). Its hidden-basis Bloch vector is r = (x, y, z) =
+    (sin theta cos phi, sin theta sin phi, cos theta), and its features are
+    the monomials r_a r_b (a <= b, r_0 = 1): 1, x, y, z, xx, xy, xz, yy, yz,
+    zz. The angle phi enters through t = tan(phi / 2), which is cheaper than
+    a cosine and a sine. The last block is padded with zero features, which
+    add nothing to any sum.
     """
     gen = master_generator(seed)
-    u = gen.random(size=(trials, 2))
-    cos_theta = 1.0 - 2.0 * u[:, 0]
-    phi = 2.0 * np.pi * u[:, 1]
-    a = np.sqrt((1.0 + cos_theta) / 2.0)
-    b = np.exp(1j * phi) * np.sqrt((1.0 - cos_theta) / 2.0)
-    psi = np.empty((trials, 2), dtype=np.complex128)
-    psi[:, 0] = a * basis.alpha + b * np.conj(basis.beta)
-    psi[:, 1] = a * basis.beta - b * np.conj(basis.alpha)
-    return psi
+    blocks = -(-trials // _BLOCK)
+    width = min(blocks, _CHUNK_BLOCKS) * _BLOCK
+    feats = np.empty((10, width))
+    feats[0] = 1.0
+    for start in range(0, blocks * _BLOCK, width):
+        n = min(width, trials - start)
+        u = gen.random((n, 2))
+        _one, x, y, z, xx, xy, xz, yy, yz, zz = feats[:, :n]
+        np.multiply(u[:, 1], np.pi, out=y)
+        np.tan(y, out=y)
+        np.multiply(y, y, out=yy)
+        # sin(theta) / (1 + t^2), with sin(theta)^2 = 4 u (1 - u)
+        np.subtract(1.0, u[:, 0], out=z)
+        z *= u[:, 0]
+        np.sqrt(z, out=z)
+        np.add(yy, 1.0, out=xx)
+        np.divide(z, xx, out=z)
+        np.subtract(1.0, yy, out=x)
+        x *= z
+        x *= 2.0
+        y *= z
+        y *= 4.0
+        np.multiply(u[:, 0], -2.0, out=z)
+        z += 1.0
+        np.multiply(x, x, out=xx)
+        np.multiply(x, y, out=xy)
+        np.multiply(x, z, out=xz)
+        np.multiply(y, y, out=yy)
+        np.multiply(y, z, out=yz)
+        np.multiply(z, z, out=zz)
+        used = -(-n // _BLOCK) * _BLOCK
+        feats[:, n:used] = 0.0
+        yield feats[:, :used].reshape(10, -1, _BLOCK).transpose(1, 0, 2)
 
 
-def _single_values(psi: np.ndarray, u2: np.ndarray, p: float) -> list:
-    """Per-trial (computational, Fourier) grand sums of a single-qubit track."""
-    out = _matmul_rows(psi, u2.T)
-    sums = [np.abs(out[:, 0] + out[:, 1]) ** 2, 2.0 * np.abs(out[:, 0]) ** 2]
-    del out
-    return _noisy(sums, psi, p, 0.0)
+def _block_grams(seed: int, trials: int):
+    """Yield the sum of f f^T over each block of ``_BLOCK`` trials, in trial
+    order, f a trial's features: one product per block."""
+    for feats in _trial_features(seed, trials):
+        yield from np.matmul(feats, feats.transpose(0, 2, 1))
 
 
-def _cnot_values(psi: np.ndarray, u4: np.ndarray, p: float, q: float) -> tuple:
-    """Per-trial (computational, Fourier) grand sums of a CNOT control and
-    of its target.
+def _trial_probabilities(forms: np.ndarray, seed: int, trials: int) -> np.ndarray:
+    """(len(forms), trials) per-trial binomial success probabilities
+    clip(w . f / 2, 0, 1) of every form w."""
+    half = forms / 2.0
+    probs = np.empty((len(forms), -(-trials // _BLOCK) * _BLOCK))
+    start = 0
+    for feats in _trial_features(seed, trials):
+        stop = start + feats.shape[0] * _BLOCK
+        probs[:, start:stop] = np.matmul(half, feats).transpose(1, 0, 2).reshape(len(forms), -1)
+        start = stop
+    probs = probs[:, :trials]
+    return np.clip(probs, 0.0, 1.0, out=probs)
 
-    The output amplitudes o_k = <k|CNOT|psi psi> (k = 2 i + j) give every
-    sum as two-term column arithmetic, and the output is freed before the
-    noise mixture, which bounds peak memory.
+
+def _role_forms(layer: CircuitLayer, roles: list[tuple]) -> np.ndarray:
+    """Feature coefficients of the per-trial grand sums of ``roles``.
+
+    Rows 2 i and 2 i + 1 hold the (computational, Fourier) forms of the
+    i-th (kind, side): a trial with features f has grand sum w . f. A
+    single-qubit gate acts as a two-track unitary on the first track. Input
+    white noise p mixes in grand sum 1; CNOT dropout q passes the input
+    through unchanged.
     """
-    out = _matmul_rows(np.einsum("ti,tj->tij", psi, psi).reshape(-1, 4), u4.T)
-    o0, o1, o2, o3 = out.T
-    m0 = np.abs(o0) ** 2
-    sums = [
-        np.abs(o0 + o2) ** 2 + np.abs(o1 + o3) ** 2,
-        2.0 * (m0 + np.abs(o1) ** 2),
-        np.abs(o0 + o1) ** 2 + np.abs(o2 + o3) ** 2,
-        2.0 * (m0 + np.abs(o2) ** 2),
-    ]
-    del out, o0, o1, o2, o3, m0
-    sums = _noisy(sums, psi, p, q)
-    return sums[:2], sums[2:]
+    p, q = layer.noise
+    mats = layer.gate_matrices
+    b = layer.hidden_basis.matrix()
+    forms = []
+    for kind, side in roles:
+        if kind is GateKind.CNOT:
+            keep, drop = (1.0 - q) * (1.0 - p), q * (1.0 - p)
+            forms.append(
+                keep * _grand_sum_forms(mats[kind], b, side)
+                + drop * _grand_sum_forms(np.eye(4), b, side)
+            )
+        else:
+            forms.append((1.0 - p) * _grand_sum_forms(np.kron(mats[kind], np.eye(2)), b, 0))
+    forms = np.concatenate(forms)
+    forms[:, 0] += p
+    return forms
 
 
-def _matmul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` computed in near-equal blocks of at most ``_MATMUL_ROWS``
-    rows of ``a``, bit-identical to the whole product.
+def _grand_sum_forms(u4: np.ndarray, b: np.ndarray, side: int) -> np.ndarray:
+    """(2, 10) feature coefficients of the (computational, Fourier) grand
+    sums of track ``side`` of the two-track unitary ``u4`` fed the input
+    ket psi = b phi on both tracks.
 
-    The blocks never hold a single row unless ``a`` does: numpy sends a
-    one-row product to gemv, which rounds differently from gemm.
+    Each sum is tr(K rho x rho) with K = V^dag (A on track ``side``) V,
+    V = u4 (b x b) and rho = |phi><phi|. Expanding rho x rho as
+    sum_ab r_a r_b sigma_a x sigma_b / 4 gives the coefficient of each
+    monomial r_a r_b (a <= b).
     """
-    n = a.shape[0]
-    blocks = max(1, -(-n // _MATMUL_ROWS))
-    out = np.empty((n, b.shape[1]), dtype=np.result_type(a, b))
-    for i in range(blocks):
-        rows = slice(n * i // blocks, n * (i + 1) // blocks)
-        np.matmul(a[rows], b, out=out[rows])
-    return out
-
-
-def _noisy(sums: list, psi: np.ndarray, p: float, q: float) -> list:
-    """Exact per-run mixture of (computational, Fourier, ...) grand sums.
-
-    Input white noise p mixes in the maximally mixed state (grand sum 1 in
-    both bases); CNOT dropout q passes the input state through unchanged.
-    Without noise the mixture only adds exact zeros, so the sums are
-    returned as they are.
-    """
-    if not (p or q):
-        return sums
-    keep = (1.0 - q) * (1.0 - p)
-    if not q:
-        return [keep * s + p for s in sums]
-    drop = q * (1.0 - p)
-    s_in = (np.abs(psi[:, 0] + psi[:, 1]) ** 2, 2.0 * np.abs(psi[:, 0]) ** 2)
-    return [keep * s + drop * s_in[i % 2] + p for i, s in enumerate(sums)]
-
-
-def _moments(x_vals: np.ndarray, y_vals: np.ndarray) -> tuple[float, float, float, float]:
-    """(mean x, mean y, stderr x, stderr y); one trial has stderr 0.0."""
-    n = len(x_vals)
-    se = [float(np.std(v, ddof=1) / math.sqrt(n)) if n > 1 else 0.0 for v in (x_vals, y_vals)]
-    return float(np.mean(x_vals)), float(np.mean(y_vals)), se[0], se[1]
+    v = u4 @ np.kron(b, b)
+    forms = []
+    for obs in _GRAND_SUMS:
+        a = np.kron(obs, np.eye(2)) if side == 0 else np.kron(np.eye(2), obs)
+        k = (v.conj().T @ a @ v).reshape(2, 2, 2, 2)
+        t = np.einsum("ijkl,aki,blj->ab", k, _PAULI, _PAULI).real
+        forms.append((t + t.T - np.diag(t.diagonal()))[np.triu_indices(4)] / 4.0)
+    return np.array(forms)
 
 
 # ---------------------------------------------------------------------------

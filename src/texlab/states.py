@@ -48,6 +48,8 @@ def fourier_ket(dim: int, index: int) -> np.ndarray:
 def fourier_matrix(dim: int) -> np.ndarray:
     """Unitary whose k-th column is ``fourier_ket(dim, k)``."""
     require_integer(dim, name="dim")
+    if dim < 1:
+        raise ValueError(f"dim: must be a positive integer, got {dim}")
     return np.stack([fourier_ket(dim, k) for k in range(1, dim + 1)], axis=1)
 
 

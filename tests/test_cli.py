@@ -366,7 +366,7 @@ CLI_OUTPUT_DIGESTS = {
     "identify-csv": (
         ["identify", "--in", "layer.json", "--seed", "3", "--trials", "20000",
          "--format", "csv"],
-        "efa34e9795301f95ceb12e4b1bb26696a5ea0a027cf7f4348cd8518b2cfb45b0",
+        "2c78b3be8a3fda23b9c3624c8fc9257375e101b52e95acab3fa9062cde59865f",
     ),
 }
 

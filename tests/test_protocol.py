@@ -5,7 +5,10 @@ from __future__ import annotations
 import cmath
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +25,8 @@ from texlab.circuit import (
 from texlab.linalg import principal_eigenvector
 import texlab.protocol as protocol
 from texlab.protocol import (
-    _MATMUL_ROWS,
+    _BLOCK,
+    _CHUNK_BLOCKS,
     BASIN_MIN_OVERLAP,
     DEFAULT_TRIALS,
     GATE_MATCH_ATOL,
@@ -31,11 +35,12 @@ from texlab.protocol import (
     IdentificationError,
     ProtocolReport,
     TrackStats,
-    _cnot_values,
+    _block_grams,
     _gauge_partner,
     _product_test_min_fidelity,
-    _single_values,
-    _trial_kets,
+    _role_forms,
+    _trial_features,
+    _trial_probabilities,
     classify_single_qubit_gates,
     detect_cnot_tracks,
     detectability_margin,
@@ -302,16 +307,43 @@ def test_shot_mode_is_deterministic_and_consistent():
         assert abs(shot_stat.x_like - exact_stat.x_like) <= tol
 
 
-def test_thread_count_does_not_change_reports(monkeypatch):
-    # TEXLAB_THREADS is no longer read, so this checks run-to-run byte
-    # reproducibility of the report, whatever the variable holds.
-    layer = random_layer(num_tracks=4, num_cnots=1, seed=17, min_component=0.3)
-    texts = []
-    for threads in ("1", "4", "8"):
-        monkeypatch.setenv("TEXLAB_THREADS", threads)
-        report = identify_layer(layer, seed=23, trials=40_000)
-        texts.append(dumps_canonical(report_to_json_dict(report)))
-    assert texts[0] == texts[1] == texts[2]
+def test_openblas_thread_count_does_not_change_report_bytes():
+    # The engine's Gram blocks and every other product stay below
+    # OpenBLAS's threading bound, so one and two threads give the same bytes.
+    script = (
+        "import hashlib\n"
+        "from texlab.protocol import identify_layer, random_layer, report_to_json_dict\n"
+        "from texlab.serialize import dumps_canonical\n"
+        "layer = random_layer(num_tracks=8, num_cnots=3, seed=42, min_component=0.15)\n"
+        "report = identify_layer(layer, seed=1, trials=100_000)\n"
+        "text = dumps_canonical(report_to_json_dict(report))\n"
+        "print(report.status, hashlib.sha256(text.encode()).hexdigest())\n"
+    )
+    src = os.path.dirname(os.path.dirname(protocol.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.append(done.stdout)
+    assert outputs[0].startswith("full ")
+    assert outputs[0] == outputs[1]
+
+
+def _trial_kets_reference(basis, seed, trials):
+    # The former computational-coordinate trial kets, kept as the oracle's
+    # input: cos(theta/2)|+> + e^{i phi} sin(theta/2)|-> in ``basis``.
+    u = master_generator(seed).random(size=(trials, 2))
+    cos_theta = 1.0 - 2.0 * u[:, 0]
+    phi = 2.0 * np.pi * u[:, 1]
+    a = np.sqrt((1.0 + cos_theta) / 2.0)
+    b = np.exp(1j * phi) * np.sqrt((1.0 - cos_theta) / 2.0)
+    psi = np.empty((trials, 2), dtype=np.complex128)
+    psi[:, 0] = a * basis.alpha + b * np.conj(basis.beta)
+    psi[:, 1] = a * basis.beta - b * np.conj(basis.alpha)
+    return psi
 
 
 def _single_values_reference(psi, u2, p):
@@ -340,56 +372,102 @@ def _cnot_values_reference(psi, u4, p, q):
     )
 
 
-def _bits(arrays):
-    return [np.ascontiguousarray(a).view(np.uint64) for a in arrays]
+_SINGLE_KINDS = (GateKind.IDENTITY, GateKind.HADAMARD, GateKind.T, GateKind.S)
 
 
-def test_engine_kernels_are_bit_identical_to_the_reference_kernels():
-    # Every per-trial value feeds the report digests, so the kernels must
-    # agree bit for bit, not within a tolerance: on noise-free runs, on each
-    # noise term alone and on both together, in generic and in
+def _every_kind_layer(seed, min_component, noise):
+    basis = random_layer(num_tracks=2, num_cnots=1, seed=seed, min_component=min_component)
+    gates = tuple(SingleGate(kind, i) for i, kind in enumerate(_SINGLE_KINDS)) + (CnotGate(4, 5),)
+    return CircuitLayer(num_tracks=6, hidden_basis=basis.hidden_basis, gates=gates, noise=noise)
+
+
+def _reference_values(layer, psi):
+    """Per track, the oracle's per-trial (computational, Fourier) sums."""
+    mats = layer.gate_matrices
+    p, q = layer.noise
+    out = []
+    for kind, side, _pair in layer.track_roles:
+        if kind is GateKind.CNOT:
+            out.append(_cnot_values_reference(psi, mats[kind], p, q)[side])
+        else:
+            out.append(_single_values_reference(psi, mats[kind], p))
+    return out
+
+
+_ENGINE_NOISE = ((0.0, 0.0), (0.3, 0.0), (0.0, 0.4), (0.2, 0.3), (0.999, 0.999))
+
+
+@pytest.mark.parametrize("trials", [1, 2, _BLOCK, _BLOCK + 1, DEFAULT_TRIALS])
+def test_engine_matches_the_per_trial_reference(trials):
+    # Means, standard errors and shot-mode probabilities from the role forms
+    # against the former per-trial kernels, on clean runs, each noise term
+    # alone, both together and near-total noise, in generic and in
     # min_component=0 bases.
-    rng = np.random.default_rng(2718)
-    for seed in range(120):
-        layer = random_layer(
-            num_tracks=2,
-            num_cnots=1,
-            seed=seed,
-            min_component=0.0 if seed % 2 else 0.15,
-        )
-        psi = _trial_kets(layer.hidden_basis, seed, 257)
-        mats = layer.gate_matrices
-        p, q = rng.random(2)
-        for noise in ((0.0, 0.0), (p, q), (p, 0.0), (0.0, q)):
-            got = _cnot_values(psi, mats[GateKind.CNOT], *noise)
-            want = _cnot_values_reference(psi, mats[GateKind.CNOT], *noise)
-            for side in (0, 1):
-                for g, w in zip(_bits(got[side]), _bits(want[side])):
-                    assert np.array_equal(g, w), (seed, noise, side)
-            for kind in (GateKind.IDENTITY, GateKind.HADAMARD, GateKind.T, GateKind.S):
-                got = _single_values(psi, mats[kind], noise[0])
-                want = _single_values_reference(psi, mats[kind], noise[0])
-                for g, w in zip(_bits(got), _bits(want)):
-                    assert np.array_equal(g, w), (seed, noise, kind)
+    eps = np.finfo(float).eps
+    seeds = range(2) if trials == DEFAULT_TRIALS else range(12)
+    for seed in seeds:
+        for noise in _ENGINE_NOISE:
+            layer = _every_kind_layer(seed, 0.0 if seed % 2 else 0.15, noise)
+            psi = _trial_kets_reference(layer.hidden_basis, seed, trials)
+            values = _reference_values(layer, psi)
+            stats = run_protocol(layer, seed=seed, trials=trials)
+            roles = [(kind, side) for kind, side, _pair in layer.track_roles]
+            forms = _role_forms(layer, roles)
+            gram = sum(_block_grams(seed, trials))
+            mean = gram[0] / trials
+            # Size of the terms that cancel in w^T (G/N - m m^T) w.
+            size = np.abs(gram) / trials + np.outer(np.abs(mean), np.abs(mean))
+            probs = _trial_probabilities(forms, seed, trials)
+            for i, stat in enumerate(stats):
+                got = [(stat.x_like, stat.stderr_x), (stat.y_like, stat.stderr_y)]
+                for j, ((mean_v, se), v) in enumerate(zip(got, values[i])):
+                    where = (seed, noise, i, j)
+                    assert abs(mean_v - np.mean(v)) <= 1e-14, where
+                    want_probs = np.clip(v / 2.0, 0.0, 1.0)
+                    assert np.max(np.abs(probs[2 * i + j] - want_probs)) <= 1e-14, where
+                    if trials == 1:
+                        assert se == 0.0, where
+                        continue
+                    want = float(np.std(v, ddof=1) / math.sqrt(trials))
+                    if trials > 2:
+                        assert abs(se - want) <= 1e-13 * want, where
+                    else:
+                        # Two nearly equal trials leave a variance far below
+                        # the terms that cancel in it: bound its rounding.
+                        w = np.abs(forms[2 * i + j])
+                        slack = 64.0 * eps * float(w @ size @ w) / (trials - 1)
+                        assert abs(se**2 - want**2) <= 1e-13 * want**2 + slack, where
 
 
-@pytest.mark.parametrize("trials", [1, _MATMUL_ROWS, 2 * _MATMUL_ROWS + 1, DEFAULT_TRIALS])
-def test_row_blocked_products_match_whole_products_bit_for_bit(trials):
-    # The engine multiplies in blocks of _MATMUL_ROWS trials; the reference
-    # kernels multiply all trials at once (multithreaded at DEFAULT_TRIALS).
+def test_gram_blocks_of_t_trials_are_a_bitwise_prefix_of_2t():
+    # Fixed blocks in trial order: a T-trial Gram is bit for bit the first T
+    # trials of a 2T one, also when the prefix ends inside a later chunk.
+    t = (_CHUNK_BLOCKS + 1) * _BLOCK
     for seed in range(3):
-        layer = random_layer(num_tracks=2, num_cnots=1, seed=seed, min_component=0.0)
-        psi = _trial_kets(layer.hidden_basis, seed, trials)
-        mats = layer.gate_matrices
-        got = _cnot_values(psi, mats[GateKind.CNOT], 0.1, 0.2)
-        want = _cnot_values_reference(psi, mats[GateKind.CNOT], 0.1, 0.2)
-        for side in (0, 1):
-            for g, w in zip(_bits(got[side]), _bits(want[side])):
-                assert np.array_equal(g, w), (seed, side)
-        got = _single_values(psi, mats[GateKind.HADAMARD], 0.1)
-        want = _single_values_reference(psi, mats[GateKind.HADAMARD], 0.1)
-        for g, w in zip(_bits(got), _bits(want)):
-            assert np.array_equal(g, w), seed
+        short = list(_block_grams(seed, t))
+        long = list(_block_grams(seed, 2 * t))
+        assert len(short) == t // _BLOCK and len(long) == 2 * t // _BLOCK
+        for a, b in zip(short, long):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), seed
+        assert np.array_equal(sum(short).view(np.uint64), sum(long[: len(short)]).view(np.uint64))
+
+
+def test_trial_features_are_the_bloch_monomials_of_the_trial_kets():
+    layer = random_layer(num_tracks=2, num_cnots=1, seed=3, min_component=0.15)
+    trials = _BLOCK + 7
+    feats = np.concatenate(
+        [f.transpose(1, 0, 2).reshape(10, -1) for f in _trial_features(3, trials)], axis=1
+    )
+    assert np.array_equal(feats[:, trials:], np.zeros((10, _BLOCK - 7)))
+    phi = _trial_kets_reference(layer.hidden_basis, 3, trials) @ layer.hidden_basis.matrix().conj()
+    r = np.stack([
+        2.0 * (np.conj(phi[:, 0]) * phi[:, 1]).real,
+        2.0 * (np.conj(phi[:, 0]) * phi[:, 1]).imag,
+        np.abs(phi[:, 0]) ** 2 - np.abs(phi[:, 1]) ** 2,
+    ])
+    r1 = np.concatenate([np.ones((1, trials)), r])
+    want = np.array([r1[a] * r1[b] for a, b in zip(*np.triu_indices(4))])
+    np.testing.assert_allclose(feats[:, :trials], want, rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -1191,19 +1269,22 @@ def test_seeded_sweep_never_raises_or_claims_a_wrong_full():
             assert report.notes
 
 
-#: SHA-256 of the canonical report bytes of fixed layers, recorded with the
-#: per-track simulator and thread-pool engine that preceded the role-level
-#: ones. Performance work on the engine or the probes must keep these bytes.
+#: SHA-256 of the canonical report bytes of fixed layers. The exact-mode
+#: digests were last recorded when the trial engine moved to role forms
+#: against a Gram matrix of Bloch monomials, which changed the statistics'
+#: last bits; the shot-mode digests kept their bytes through that change. A
+#: change that moves any of these bytes must record why, and the old and
+#: new digests.
 PINNED_REPORTS = {
     "narrow": (
         dict(num_tracks=6, num_cnots=2, seed=31, min_component=0.15),
         dict(seed=41, trials=100_000),
-        "86d707f6368d298a278ac6b037dcdb73874fccea1e39131034d835090b3b81e7",
+        "8011f6823ff37867ce7ebd20e1a78011e54163a54acb4ee5327d1dc083ae8509",
     ),
     "48-tracks": (
         dict(num_tracks=48, num_cnots=6, seed=32, min_component=0.15),
         dict(seed=42, trials=50_000),
-        "2387a77bb046fc947701541a9df1f2674d510e70e983d0c02e6d0ef117a68382",
+        "395cf8c44441e690c3f9180451e17f80c81acfcb32f119e3c06d0b3deb5156fb",
     ),
     "noisy-shots": (
         dict(num_tracks=16, num_cnots=2, seed=33, min_component=0.15, noise=(0.05, 0.1)),

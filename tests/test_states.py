@@ -40,6 +40,12 @@ def test_fourier_ket_validates_arguments():
         fourier_ket(3, 0)
 
 
+@pytest.mark.parametrize("dim", [0, -2])
+def test_fourier_matrix_rejects_a_non_positive_dim(dim):
+    with pytest.raises(ValueError, match=f"^dim: must be a positive integer, got {dim}$"):
+        fourier_matrix(dim)
+
+
 def test_fourier_matrix_is_unitary():
     f = fourier_matrix(5)
     np.testing.assert_allclose(f.conj().T @ f, np.eye(5), atol=1e-12)
