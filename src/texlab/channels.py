@@ -30,34 +30,53 @@ FREE_RESIDUAL_ATOL = 1e-10
 #: Eigenvalues of a mixed conversion target below this weight are dropped.
 TARGET_WEIGHT_FLOOR = 1e-12
 
-#: Most multiply-adds in one matrix product of the channel kernels. OpenBLAS
-#: hands a product with m * n * k >= 65536 to worker threads, which then
-#: busy-wait between calls and take a core from everything else that runs.
+#: Most multiply-adds in one matrix-matrix product of the channel kernels.
+#: OpenBLAS hands a product with m * n * k >= 65536 to worker threads, which
+#: then busy-wait between calls and take a core from everything else that
+#: runs.
 _MATMUL_MNK = 65535
+
+#: Most multiply-adds in one matrix-vector product. Complex gemv goes to the
+#: worker threads far below the matrix-matrix bound: on 2 cores the worker
+#: stayed as busy as the calling thread on 31 x 256 products and idle on
+#: 15 x 256 ones.
+_MATVEC_MN = 4095
+
+
+def _require_dim(dim) -> None:
+    require_integer(dim, name="dim")
+    if dim < 1:
+        raise ValueError(f"dim: must be a positive integer, got {dim}")
 
 
 @dataclass(frozen=True)
 class KrausChannel:
     """Completely positive trace-preserving map given by Kraus operators.
 
-    The operators are validated and frozen at construction, and ``stacked``
-    holds them side by side in one read-only array built once per channel.
-    ``apply_channel``, ``completeness_residual`` and the audit's gain form M
-    (both computed once) are matrix products against blocks of that array;
-    an audit's predicted gain is tr(M rho), non-negative on every positive
-    state. A block holds max(1, 65535 // dim**3) operators (1023 at dim 4,
-    15 at dim 16), which keeps every product on the calling thread; from
-    dim 41 on, one operator's product already passes that bound and a block
-    is one operator.
+    The operators are validated and frozen at construction; ``operators``
+    may be any iterable, and a generator is consumed one operator at a time.
+    They are the channel's only copy: each kernel stacks one transient block
+    of them at a time, small enough that its products stay on the calling
+    thread. A block holds max(1, 65535 // dim**3) operators for matrix
+    products (1023 at dim 4, 15 at dim 16; one from dim 41 on) and
+    max(1, 4095 // dim**2) for the certificate's matrix-vector products.
+
+    A channel with at least dim**2 operators also caches its superoperator
+    S = sum_k K_k (x) conj(K_k), a read-only (dim**2, dim**2) array no
+    larger than the operators it sums, with vec(Phi(rho)) = S vec(rho) in
+    row-major order; ``apply_channel`` then costs dim**4 per state instead
+    of 2 K dim**3. Building S costs as much as dim / 2 Kraus applications.
+    Smaller channels (a one-operator dim-128 unitary would need a 4.3 GB S)
+    keep blocked Kraus products. The audit's gain form M, computed once, is
+    also cached; an audit's predicted gain is tr(M rho), non-negative on
+    every positive state.
     """
 
     dim: int
     operators: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        require_integer(self.dim, name="dim")
-        if self.dim < 1:
-            raise ValueError(f"dim: must be a positive integer, got {self.dim}")
+        _require_dim(self.dim)
         ops = []
         for i, op in enumerate(self.operators):
             m = as_complex_matrix(op, name=f"operators[{i}]")
@@ -77,27 +96,23 @@ class KrausChannel:
                 f"{COMPLETENESS_ATOL}"
             )
 
-    @cached_property
-    def stacked(self) -> np.ndarray:
-        """Read-only (dim, K * dim) array [K_1, K_2, ..., K_K] of the K
-        operators side by side."""
-        out = np.concatenate(self.operators, axis=1)
-        out.setflags(write=False)
-        return out
+    def _operator_blocks(self, per_block: int, axis: int):
+        """Transient stacks of at most ``per_block`` consecutive operators,
+        one at a time, along ``axis``: axis 1 gives (dim, k, dim) arrays
+        with block[:, j] the j-th operator of the block, axis 0 (k, dim,
+        dim) ones."""
+        for i in range(0, len(self.operators), per_block):
+            yield np.stack(self.operators[i : i + per_block], axis=axis)
 
-    @cached_property
-    def _blocks(self) -> tuple[np.ndarray, ...]:
-        """``stacked`` as (dim, k, dim) views with block[:, j] the j-th
-        operator of the block, each holding max(1, _MATMUL_MNK // dim**3)
-        operators or fewer."""
-        per_block = max(1, _MATMUL_MNK // self.dim**3)
-        ops = self.stacked.reshape(self.dim, -1, self.dim)
-        return tuple(ops[:, i : i + per_block] for i in range(0, ops.shape[1], per_block))
+    def _gemm_blocks(self, axis: int = 1):
+        """Operator blocks whose products with a dim x dim matrix stay below
+        ``_MATMUL_MNK``."""
+        return self._operator_blocks(max(1, _MATMUL_MNK // self.dim**3), axis)
 
     @cached_property
     def _completeness_residual(self) -> float:
         gram = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for block in self._blocks:
+        for block in self._gemm_blocks():
             rows = block.reshape(-1, self.dim)  # every row of every operator
             gram += rows.conj().T @ rows
         return float(np.linalg.norm(gram - np.eye(self.dim)))
@@ -117,24 +132,60 @@ class KrausChannel:
         matrix of the projected rows.
         """
         form = np.zeros((self.dim, self.dim), dtype=np.complex128)
-        for block in self._blocks:
+        for block in self._gemm_blocks():
             rows = block.sum(axis=0)
             rows -= rows.mean(axis=1, keepdims=True)
             form += rows.conj().T @ rows
         form.setflags(write=False)
         return form
 
+    @cached_property
+    def _superoperator(self) -> np.ndarray | None:
+        """Read-only S = sum_k K_k (x) conj(K_k) when the channel has at
+        least dim**2 operators, else None.
+
+        S[(a, b), (c, d)] = sum_k K_k[a, c] conj(K_k[b, d]). For each a, one
+        (dim x k) @ (k x dim**2) product per block gives the entries
+        [c, (b, d)], which are added into S[a] through a transposed view.
+        """
+        dim = self.dim
+        if len(self.operators) < dim * dim:
+            return None
+        sup = np.zeros((dim, dim, dim, dim), dtype=np.complex128)
+        for block in self._gemm_blocks(axis=0):
+            conj_rows = block.conj().reshape(len(block), -1)  # [k, (b, d)]
+            for a in range(dim):
+                product = block[:, a, :].T @ conj_rows
+                entries = sup[a].transpose(1, 0, 2)  # a view, indexed [c, b, d]
+                entries += product.reshape(dim, dim, dim)
+        sup = sup.reshape(dim * dim, dim * dim)
+        sup.setflags(write=False)
+        return sup
+
 
 def apply_channel(channel: KrausChannel, rho: DensityOperator) -> DensityOperator:
-    """Apply the channel: sum over K rho K^dag, two matrix products per
-    block of ``channel.stacked``."""
+    """Apply the channel: sum over K rho K^dag.
+
+    With a cached superoperator S, one matrix-vector product per row block
+    of S, each block at most 4095 // dim**2 rows; otherwise two matrix
+    products per block of operators.
+    """
     if rho.dim != channel.dim:
         raise ValueError(
             f"rho: dim {rho.dim} does not match channel dim {channel.dim}"
         )
     dim = channel.dim
+    sup = channel._superoperator
+    if sup is not None:
+        vec = rho.matrix.reshape(-1)
+        out = np.empty(dim * dim, dtype=np.complex128)
+        rows = max(1, _MATVEC_MN // (dim * dim))
+        for i in range(0, dim * dim, rows):
+            np.matmul(sup[i : i + rows], vec, out=out[i : i + rows])
+        out = out.reshape(dim, dim)
+        return DensityOperator(0.5 * (out + out.conj().T))
     out_conj = np.zeros((dim, dim), dtype=np.complex128)
-    for block in channel._blocks:
+    for block in channel._gemm_blocks():
         # K rho for every K of the block, conjugated in place: against the
         # block's own columns it gives conj(sum K rho K^dag), with no
         # conjugated copy of the operators.
@@ -163,14 +214,23 @@ class FreeChannelCertificate:
 
 
 def texture_free_certificate(channel: KrausChannel) -> FreeChannelCertificate:
-    """Certify that the channel's Kraus operators all fix the uniform ket."""
-    f1 = fourier_ket(channel.dim, 1)
-    weights = np.empty(len(channel.operators), dtype=np.complex128)
+    """Certify that the channel's Kraus operators all fix the uniform ket.
+
+    The images K_k f1 come from one matrix-vector product per block of at
+    most 4095 // dim**2 operators.
+    """
+    dim = channel.dim
+    f1 = fourier_ket(dim, 1)
+    weights = []
     max_residual = 0.0
-    for n, op in enumerate(channel.operators):
-        image = op @ f1
-        weights[n] = np.vdot(f1, image)
-        max_residual = max(max_residual, float(np.linalg.norm(image - weights[n] * f1)))
+    per_block = max(1, _MATVEC_MN // dim**2)
+    for block in channel._operator_blocks(per_block, axis=0):
+        images = (block.reshape(-1, dim) @ f1).reshape(-1, dim)
+        block_weights = images @ f1.conj()
+        residuals = np.linalg.norm(images - np.outer(block_weights, f1), axis=1)
+        max_residual = max(max_residual, float(residuals.max()))
+        weights.append(block_weights)
+    weights = np.concatenate(weights)
     weight_norm_residual = float(abs(np.sum(np.abs(weights) ** 2) - 1.0))
     return FreeChannelCertificate(
         max_residual=max_residual,
@@ -179,9 +239,9 @@ def texture_free_certificate(channel: KrausChannel) -> FreeChannelCertificate:
     )
 
 
-def _free_operators_for_target(target: np.ndarray) -> list[np.ndarray]:
+def _free_operators_for_target(target: np.ndarray):
     """Kraus family fixing the uniform ket and steering the second Fourier
-    ket onto ``target``.
+    ket onto ``target``, yielded one operator at a time.
 
     For each cyclic shift l and phase index n the operator is
     (1/D) * (P1 + omega^n / sqrt(D) * S_l), where P1 projects onto the
@@ -193,7 +253,6 @@ def _free_operators_for_target(target: np.ndarray) -> list[np.ndarray]:
     p1 = np.full((dim, dim), 1.0 / dim, dtype=np.complex128)
     i = np.arange(dim)
     column_phases = omega ** (-i)
-    ops: list[np.ndarray] = []
     for shift in range(dim):
         rows = (i + shift) % dim
         m1 = np.zeros((dim, dim), dtype=np.complex128)
@@ -201,18 +260,18 @@ def _free_operators_for_target(target: np.ndarray) -> list[np.ndarray]:
         w = m1.sum(axis=1)
         s = dim * m1 - np.outer(w, np.ones(dim))
         for n in range(1, dim + 1):
-            ops.append((p1 + (omega**n / np.sqrt(dim)) * s) / dim)
-    return ops
+            yield (p1 + (omega**n / np.sqrt(dim)) * s) / dim
 
 
 def build_free_channel(dim: int, target) -> KrausChannel:
     """Texture-free channel with dim^2 operators mapping the second Fourier
     ket onto the pure state ``target``.
     """
+    _require_dim(dim)
     target = as_ket(target, name="target")
     if target.shape != (dim,):
         raise ValueError(f"target: expected length {dim}, got {target.shape}")
-    return KrausChannel(dim=dim, operators=tuple(_free_operators_for_target(target)))
+    return KrausChannel(dim=dim, operators=_free_operators_for_target(target))
 
 
 def build_free_channel_mixed(dim: int, ensemble) -> KrausChannel:
@@ -222,6 +281,7 @@ def build_free_channel_mixed(dim: int, ensemble) -> KrausChannel:
     ``ensemble`` is a sequence of (weight, ket) pairs with weights summing to
     one; each component's operator family is scaled by sqrt(weight).
     """
+    _require_dim(dim)
     pairs = [(float(q), as_ket(psi, name=f"ensemble[{k}] ket")) for k, (q, psi) in enumerate(ensemble)]
     if not pairs:
         raise ValueError("ensemble: need at least one component")
@@ -231,15 +291,15 @@ def build_free_channel_mixed(dim: int, ensemble) -> KrausChannel:
     total = sum(q for q, _ in pairs)
     if abs(total - 1.0) > 1e-10:
         raise ValueError(f"ensemble: weights sum to {total!r}, expected 1")
-    ops: list[np.ndarray] = []
     for q, psi in pairs:
         if q < 0.0:
             raise ValueError(f"ensemble: negative weight {q!r}")
         if psi.shape != (dim,):
             raise ValueError(f"ensemble: ket length {psi.shape} does not match dim {dim}")
-        scale = np.sqrt(q)
-        ops.extend(scale * op for op in _free_operators_for_target(psi))
-    return KrausChannel(dim=dim, operators=tuple(ops))
+    operators = (
+        np.sqrt(q) * op for q, psi in pairs for op in _free_operators_for_target(psi)
+    )
+    return KrausChannel(dim=dim, operators=operators)
 
 
 def convert_from_f2(target: DensityOperator) -> KrausChannel:
@@ -248,8 +308,15 @@ def convert_from_f2(target: DensityOperator) -> KrausChannel:
 
     The target is eigendecomposed; eigenvalues below ``TARGET_WEIGHT_FLOOR``
     are dropped and the remaining weights renormalized. The round trip is
-    verified to 1e-8.
+    verified to 1e-8. A target with a negative eigenvalue, or of dim 1 (no
+    second Fourier ket), is rejected before anything is built.
     """
+    if target.dim < 2:
+        raise ValueError(f"target: dim must be at least 2, got {target.dim}")
+    try:
+        target.validate_positive()
+    except ValueError as err:
+        raise ValueError(f"target: {err}") from None
     vals, vecs = np.linalg.eigh(target.matrix)
     keep = vals > TARGET_WEIGHT_FLOOR
     if not np.any(keep):

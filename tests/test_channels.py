@@ -118,6 +118,19 @@ def test_build_free_channel_validates_target():
         build_free_channel(2, np.array([1.0, 1.0]))
 
 
+def test_free_channel_builders_check_dim_first():
+    for dim in (-1, 0):
+        message = f"^dim: must be a positive integer, got {dim}$"
+        with pytest.raises(ValueError, match=message):
+            build_free_channel(dim, [1.0])
+        with pytest.raises(ValueError, match=message):
+            build_free_channel(dim, [])
+        with pytest.raises(ValueError, match=message):
+            build_free_channel_mixed(dim, [])
+    with pytest.raises(ValueError, match="^dim: expected an integer, got 2.0$"):
+        build_free_channel(2.0, [1.0, 0.0])
+
+
 def test_build_free_channel_mixed_and_convert_from_f2():
     rng = np.random.default_rng(54)
     dim = 4
@@ -135,6 +148,16 @@ def test_build_free_channel_mixed_and_convert_from_f2():
     np.testing.assert_allclose(
         apply_channel(conv, f2).matrix, target.matrix, atol=1e-8
     )
+
+
+def test_convert_from_f2_rejects_unconvertible_targets_first():
+    rng = np.random.default_rng(61)
+    frame = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    negative = DensityOperator(frame @ np.diag([1.2, -0.2]) @ frame.conj().T)
+    with pytest.raises(ValueError, match="^target: matrix: eigenvalue .* below floor"):
+        convert_from_f2(negative)
+    with pytest.raises(ValueError, match="^target: dim must be at least 2, got 1$"):
+        convert_from_f2(DensityOperator.maximally_mixed(1))
 
 
 def test_build_free_channel_mixed_validates_ensemble():
@@ -207,7 +230,7 @@ def test_channel_from_json_dict_validation():
 
 
 # ---------------------------------------------------------------------------
-# stacked kernels against the former per-operator loops
+# channel kernels against the former per-operator loops
 
 
 def _apply_channel_reference(channel, rho):
@@ -239,9 +262,19 @@ def _pure_gain_reference(channel, phi):
     return float(channel.dim * dec.zeta_perp**2 * total)
 
 
+def _random_channel(rng, dim, count):
+    """Channel of ``count`` operators cut from a random (count * dim, dim)
+    isometry; almost surely not free."""
+    g = rng.normal(size=(count * dim, dim)) + 1j * rng.normal(size=(count * dim, dim))
+    isometry = np.linalg.qr(g)[0]
+    return KrausChannel(dim=dim, operators=tuple(isometry.reshape(count, dim, dim)))
+
+
 def _oracle_channels(rng):
     """Free channels (pure and mixed targets, dim 1-8 and 16), the non-free
-    sign channel and a one-operator unitary channel."""
+    sign channel, a one-operator unitary channel, and random non-free
+    channels of dim**2 - 1 and dim**2 operators at dims 3 and 6: one each
+    side of the superoperator threshold."""
     channels = []
     for dim in (*range(1, 9), 16):
         channels.append(build_free_channel(dim, _random_ket(rng, dim)))
@@ -253,6 +286,9 @@ def _oracle_channels(rng):
     )
     g = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     channels.append(KrausChannel(dim=5, operators=(np.linalg.qr(g)[0],)))
+    for dim in (3, 6):
+        channels.append(_random_channel(rng, dim, dim * dim - 1))
+        channels.append(_random_channel(rng, dim, dim * dim))
     return channels
 
 
@@ -271,9 +307,11 @@ def _oracle_states(rng, dim):
 def test_channel_kernels_match_the_per_operator_references():
     rng = np.random.default_rng(58)
     channels = _oracle_channels(rng)
-    # The mixed dim-8 free channel spans two operator blocks, and the mixed
-    # dim-16 one 35 blocks, the last of them partial.
-    assert sorted(len(ch._blocks) for ch in channels)[-3:] == [2, 18, 35]
+    # Every free channel has dim**2 or 2 dim**2 operators and goes through
+    # its superoperator; the sign, unitary and dim**2 - 1 operator channels
+    # keep the blocked Kraus products.
+    on_superoperator = [ch._superoperator is not None for ch in channels]
+    assert on_superoperator == [True] * 18 + [False, False] + [False, True] * 2
     for ch in channels:
         np.testing.assert_allclose(
             ch.completeness_residual(),
@@ -298,25 +336,37 @@ def test_channel_kernels_match_the_per_operator_references():
             np.testing.assert_allclose(audit.predicted_gain, want, rtol=0, atol=1e-12)
 
 
-def test_stacked_operators_are_read_only_and_built_once():
+def test_superoperator_and_gain_form_are_read_only_and_built_once():
     rng = np.random.default_rng(59)
     ch = build_free_channel_mixed(
         3, [(0.5, _random_ket(rng, 3)), (0.5, _random_ket(rng, 3))]
     )
-    stacked = ch.stacked
-    assert stacked is ch.stacked
-    assert stacked.shape == (3, 18 * 3)
-    assert not stacked.flags.writeable
-    for k, op in enumerate(ch.operators):
-        np.testing.assert_array_equal(stacked[:, 3 * k : 3 * (k + 1)], op)
+    sup = ch._superoperator
+    assert sup is ch._superoperator
+    assert sup.shape == (9, 9)
+    assert not sup.flags.writeable
+    want = sum(np.kron(op, op.conj()) for op in ch.operators)
+    np.testing.assert_allclose(sup, want, rtol=0, atol=1e-15)
     with pytest.raises(ValueError):
-        stacked[0, 0] = 0.0
+        sup[0, 0] = 0.0
     form = ch._gain_form
     assert form is ch._gain_form
     assert form.shape == (3, 3)
     assert not form.flags.writeable
     with pytest.raises(ValueError):
         form[0, 0] = 0.0
+    # Once every kernel has run, the channel caches no second copy of its
+    # operators: only S, the gain form and the completeness residual.
+    texture_free_certificate(ch)
+    apply_channel(ch, DensityOperator.maximally_mixed(3))
+    assert len(ch.operators) == 18
+    assert set(vars(ch)) == {
+        "dim",
+        "operators",
+        "_completeness_residual",
+        "_gain_form",
+        "_superoperator",
+    }
 
 
 def test_audit_gain_identity_holds_on_non_positive_inputs():
