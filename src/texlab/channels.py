@@ -349,7 +349,9 @@ class F1Decomposition:
 
 
 def decompose_against_f1(phi) -> F1Decomposition:
-    """Decompose a pure state against the uniform-superposition ket."""
+    """Decompose a pure state against the uniform-superposition ket. No
+    library code calls this or reads ``F1Decomposition``; both stay public
+    only while ``perfbench/tracing.py`` wraps this function by name."""
     phi = as_ket(phi, name="phi")
     dim = phi.shape[0]
     f1 = fourier_ket(dim, 1)

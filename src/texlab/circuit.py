@@ -6,11 +6,15 @@ two-state basis shared by the whole layer; in computational coordinates a
 single-qubit gate is B U B^dag and the CNOT is (B x B) U_CN (B x B)^dag,
 where B has the hidden kets as columns.
 
+``CircuitLayer.transfer`` holds the layer's action once, one real Pauli
+transfer tensor per role (gate kind, CNOT side): the trial engine
+(``texlab.protocol.run_protocol``) folds it into its grand-sum forms, and
+the probe simulator here, ``run_layer_with_inputs``, reads it directly.
+
 A layer carries two noise knobs: with probability p the (joint) input of a
 track or CNOT pair is replaced by white noise, and with probability q a CNOT
-acts as the identity. Only the randomized trial engine
-(``texlab.protocol.run_protocol``) models them; the probe simulator here,
-``run_layer_with_inputs``, is noise-free.
+acts as the identity. Only the trial engine models them; the probe
+simulator is noise-free.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_ket, kron, partial_trace
+from .linalg import KET_ATOL, as_ket, kron
 from .serialize import parse_complex_field, require_integer
 from .states import QubitBasis
 
@@ -30,9 +34,11 @@ __all__ = [
     "SingleGate",
     "CnotGate",
     "CircuitLayer",
+    "LayerTransfer",
     "QubitBasis",
     "standard_gate_matrix",
     "gate_matrix",
+    "pauli_transfer",
     "run_layer_with_inputs",
     "layer_to_json_dict",
     "layer_from_json_dict",
@@ -63,6 +69,14 @@ _STANDARD_CNOT = np.array(
     dtype=np.complex128,
 )
 
+#: Pauli matrices (I, X, Y, Z): a qubit with Bloch row r = (1, x, y, z) has
+#: density matrix sum_a r_a sigma_a / 2.
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+#: Two-track Pauli products: _PAULI_PAIRS[b, c] is sigma_b on track 0 and
+#: sigma_c on track 1.
+_PAULI_PAIRS = np.einsum("bij,ckl->bcikjl", _PAULI, _PAULI).reshape(4, 4, 4, 4)
+
 
 def standard_gate_matrix(kind: GateKind) -> np.ndarray:
     """Matrix of a gate in the basis where it takes its standard form."""
@@ -78,6 +92,31 @@ def gate_matrix(kind: GateKind, basis: QubitBasis) -> np.ndarray:
         b2 = kron(b, b)
         return b2 @ _STANDARD_CNOT @ b2.conj().T
     return b @ _STANDARD_SINGLE[kind] @ b.conj().T
+
+
+def pauli_transfer(u: np.ndarray, side: int = 0) -> np.ndarray:
+    """Real (4, 4, 4) tensor T of track ``side`` of the two-track
+    unitary ``u`` (a 2x2 ``u`` acts on track 0 alone): T[a, b, c] maps the
+    Bloch rows of the track's own input (b) and of the other track's (c) to
+    row a of its reduced output. A single-qubit gate's T is zero unless c = 0.
+    """
+    if u.shape == (2, 2):
+        u = np.einsum("ij,kl->ikjl", u, np.eye(2)).reshape(4, 4)  # u on track 0
+    # paulis[b, c]: sigma_b on track ``side``, sigma_c on the other track.
+    paulis = _PAULI_PAIRS.transpose(side, 1 - side, 2, 3)
+    return np.einsum("aji,bcij->abc", paulis[:, 0], u @ paulis @ u.conj().T).real / 4.0
+
+
+@dataclass(frozen=True, slots=True)
+class LayerTransfer:
+    """A layer's noise-free action: ``tensors[i]`` is the ``pauli_transfer``
+    of ``roles[i]`` (kind, side; side None for a single-qubit gate). Track t
+    holds role ``role[t]``; its CNOT partner, or t itself, is ``partner[t]``."""
+
+    roles: tuple[tuple[GateKind, int | None], ...]
+    tensors: np.ndarray
+    role: np.ndarray
+    partner: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -170,17 +209,32 @@ class CircuitLayer:
     @cached_property
     def gate_matrices(self) -> dict[GateKind, np.ndarray]:
         """Read-only computational-coordinate matrix of every gate kind,
-        built once per layer and shared by every run."""
+        built once per layer on first use."""
         mats = {kind: gate_matrix(kind, self.hidden_basis) for kind in GateKind}
         for m in mats.values():
             m.setflags(write=False)
         return mats
 
     @cached_property
+    def transfer(self) -> LayerTransfer:
+        """Read-only, built once per layer from the gate matrices of its roles;
+        the trial engine and the probe simulator both read it."""
+        per_track = self.track_roles
+        keys = [(kind, side) for kind, side, _pair in per_track]
+        roles = tuple(dict.fromkeys(keys))
+        basis = self.hidden_basis
+        tensors = np.array([pauli_transfer(gate_matrix(k, basis), s or 0) for k, s in roles])
+        role = np.array([roles.index(key) for key in keys], dtype=np.intp)
+        partner = np.array([t if p is None else p[1 - s] for t, (_, s, p) in enumerate(per_track)])
+        for arr in (tensors, role, partner):
+            arr.setflags(write=False)
+        return LayerTransfer(roles, tensors, role, partner)
+
+    @property
     def track_roles(self) -> tuple[tuple[GateKind, int | None, tuple[int, int] | None], ...]:
         """Per track, (kind, side, pair): side 0 or 1 marks the control or
         target of the CNOT ``pair``; single-qubit tracks have side and pair
-        None. Tracks of one role fed the same input give the same output."""
+        None. Tracks of one role fed the same inputs give bit-identical outputs."""
         roles = {t: (kind, None, None) for t, kind in self.single_assignments().items()}
         for pair in self.cnot_pairs():
             roles[pair[0]] = (GateKind.CNOT, 0, pair)
@@ -202,55 +256,56 @@ class CircuitLayer:
         return out
 
 
-def run_layer_with_inputs(layer: CircuitLayer, kets, tracks=None) -> list[np.ndarray]:
+def run_layer_with_inputs(layer: CircuitLayer, kets, tracks=None) -> np.ndarray:
     """Deterministic, noise-free run with a chosen input ket per track.
 
     Probe semantics: noise knobs are ignored, inputs are taken as given.
-    Every ket is validated; only the reduced output states (read-only 2x2
-    arrays) of ``tracks`` (default: all tracks, in order) are computed and
-    returned, in the order given. Each (role, input ket object) state is
-    computed once, and the tracks that hold it share the array.
+    ``kets`` (kets, or one (num_tracks, 2) array) is validated once and read
+    as Bloch rows; ``tracks`` (default: all, in order) are evaluated in one
+    contraction with ``layer.transfer``. Returns their read-only (len(tracks),
+    2, 2) reduced output states; one role fed the same inputs gives
+    bit-identical outputs.
     """
-    kets = list(kets)
-    if len(kets) != layer.num_tracks:
-        raise ValueError(
-            f"kets: expected {layer.num_tracks} inputs, got {len(kets)}"
-        )
-    # Probes pass one ket object to many tracks; validate each object once.
-    checked: dict[int, np.ndarray] = {}
-    for t, k in enumerate(kets):
-        if id(k) not in checked:
-            checked[id(k)] = as_ket(k, name=f"kets[{t}]")
-    kets = [checked[id(k)] for k in kets]
-    tracks = range(layer.num_tracks) if tracks is None else list(tracks)
-    bad = [t for t in tracks if not 0 <= t < layer.num_tracks]
-    if bad:
-        raise ValueError(f"tracks: {bad} out of range for {layer.num_tracks} tracks")
-    mats = layer.gate_matrices
-    roles = layer.track_roles
-    states: dict[tuple, np.ndarray] = {}
-    outputs = []
-    for track in tracks:
-        kind, side, pair = roles[track]
-        if pair is None:
-            key = (kind, id(kets[track]))
-        else:
-            key = (side, id(kets[pair[0]]), id(kets[pair[1]]))
-        rho = states.get(key)
-        if rho is None:
-            if pair is None:
-                out = mats[kind] @ kets[track]
-                rho = np.outer(out, out.conj())
-            else:
-                u4 = mats[GateKind.CNOT]
-                # np.kron's products, bit for bit, at a fraction of its cost
-                joint_ket = np.outer(kets[pair[0]], kets[pair[1]]).reshape(4)
-                joint_in = np.outer(joint_ket, joint_ket.conj())
-                rho = partial_trace(u4 @ joint_in @ u4.conj().T, (2, 2), keep=side)
-            rho.setflags(write=False)
-            states[key] = rho
-        outputs.append(rho)
-    return outputs
+    bloch = _input_bloch_rows(kets, layer.num_tracks)
+    if tracks is None:
+        tracks = np.arange(layer.num_tracks)
+    else:
+        tracks = list(tracks)
+        for i, t in enumerate(tracks):
+            require_integer(t, name=f"tracks[{i}]")
+        tracks = np.array(tracks, dtype=np.intp)
+    bad = tracks[(tracks < 0) | (tracks >= layer.num_tracks)]
+    if bad.size:
+        raise ValueError(f"tracks: {bad.tolist()} out of range for {layer.num_tracks} tracks")
+    transfer = layer.transfer
+    joint = bloch[tracks, :, None] * bloch[transfer.partner[tracks], None, :]
+    tensors = transfer.tensors[transfer.role[tracks]].reshape(-1, 4, 16)
+    out = np.einsum("tak,tk->ta", tensors, joint.reshape(-1, 16))
+    # rho = sum_a r_a sigma_a / 2, as interleaved real and imaginary parts.
+    out = np.einsum("ta,ak->tk", out, _PAULI.reshape(4, 4).view(float) / 2.0)
+    out = out.view(np.complex128).reshape(-1, 2, 2)
+    out.setflags(write=False)
+    return out
+
+
+def _input_bloch_rows(kets, num_tracks: int) -> np.ndarray:
+    """(num_tracks, 4) Bloch rows (|a|^2 + |b|^2, 2 Re a*b, 2 Im a*b,
+    |a|^2 - |b|^2) of one validated ket (a, b) per track."""
+    kets = kets if isinstance(kets, np.ndarray) else list(kets)
+    if len(kets) != num_tracks:
+        raise ValueError(f"kets: expected {num_tracks} inputs, got {len(kets)}")
+    try:
+        psi = np.array(kets, dtype=np.complex128)
+    except (TypeError, ValueError):  # ragged: some ket has the wrong shape
+        psi = np.empty(0)
+    a, b = psi.T if psi.shape == (num_tracks, 2) else np.full((2, num_tracks), np.nan)
+    cross, aa, bb = a.conj() * b, (a * a.conj()).real, (b * b.conj()).real
+    if not (np.abs(np.sqrt(aa + bb) - 1.0) <= KET_ATOL).all():
+        for t, k in enumerate(kets):
+            size = as_ket(k, name=f"kets[{t}]").shape[0]
+            if size != 2:
+                raise ValueError(f"kets[{t}]: expected 2 amplitudes, got {size}")
+    return np.stack([aa + bb, 2.0 * cross.real, 2.0 * cross.imag, aa - bb], axis=1)
 
 
 _KIND_BY_NAME = {kind.value: kind for kind in GateKind}

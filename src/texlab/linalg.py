@@ -80,29 +80,6 @@ def kron_all(factors) -> np.ndarray:
     return out
 
 
-def partial_trace(matrix, dims: tuple[int, int], keep: int) -> np.ndarray:
-    """Trace out one factor of a bipartite operator.
-
-    ``matrix`` must be square with side ``dims[0] * dims[1]``; ``keep`` selects
-    which factor survives (0 for the first, 1 for the second).
-    """
-    m = as_complex_matrix(matrix)
-    d1, d2 = dims
-    if d1 <= 0 or d2 <= 0:
-        raise ValueError(f"dims: factors must be positive, got {dims}")
-    if m.shape != (d1 * d2, d1 * d2):
-        raise ValueError(
-            f"matrix: shape {m.shape} does not match dims {dims} "
-            f"(expected {(d1 * d2, d1 * d2)})"
-        )
-    if keep not in (0, 1):
-        raise ValueError(f"keep: must be 0 or 1, got {keep!r}")
-    t = m.reshape(d1, d2, d1, d2)
-    if keep == 0:
-        return np.einsum("ikjk->ij", t)
-    return np.einsum("kikj->ij", t)
-
-
 def frobenius_distance(a, b) -> float:
     """Frobenius norm of the difference of two equal-shape matrices."""
     a = as_complex_matrix(a, name="a")

@@ -12,7 +12,8 @@ hidden basis (alpha, beta) = (|alpha| e^{i lambda}, |beta| e^{i chi}):
                   Y~ = 1 + (|alpha|^2 - |beta|^2) / 3
 
 Each per-trial grand sum is a fixed form in the monomials of degree <= 2
-of the input's hidden-basis Bloch vector, so the trial engine reads every
+of the input's hidden-basis Bloch vector, read off the Pauli transfer
+tensors that the probe runs also contract, so the trial engine reads every
 track's mean and standard error off one Gram matrix of those monomials.
 
 The combined deviation of a CNOT pair is bounded below by 1/9, so a
@@ -41,6 +42,7 @@ from .circuit import (
     GateKind,
     SingleGate,
     gate_matrix,
+    pauli_transfer,
     run_layer_with_inputs,
 )
 from .linalg import principal_eigenvector
@@ -82,13 +84,12 @@ _BLOCK = 512
 #: Gram blocks whose features one pass of the trial engine builds.
 _CHUNK_BLOCKS = 64
 
-#: Pauli matrices (I, X, Y, Z): a qubit with Bloch vector r has density
-#: matrix sum_a r_a sigma_a / 2 with r_0 = 1.
-_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+#: Bloch rows reading a qubit's (computational, Fourier) grand sums, 1 + x and 1 + z.
+_READOUT = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0]])
 
-#: Observables whose expectations are a qubit's (computational, Fourier)
-#: grand sums: the sum of all density-matrix entries, and twice rho_00.
-_GRAND_SUMS = (np.ones((2, 2)), np.diag([2.0, 0.0]))
+#: Folds a (4, 4) quadratic form in r onto the features r_a r_b (a <= b).
+_FOLD = np.zeros((4, 4, 10))
+_FOLD[(*np.triu_indices(4), range(10))] = _FOLD[(*np.triu_indices(4)[::-1], range(10))] = 1.0
 
 
 class IdentificationError(RuntimeError):
@@ -212,10 +213,9 @@ def run_protocol(
         require_integer(shots, name="shots")
         if shots < 1:
             raise ValueError(f"shots: must be a positive integer, got {shots}")
-    roles = [(kind, side) for kind, side, _pair in layer.track_roles]
-    distinct = list(dict.fromkeys(roles))
-    forms = _role_forms(layer, distinct)
-    row = {role: 2 * i for i, role in enumerate(distinct)}
+    transfer = layer.transfer
+    forms = _role_forms(layer, transfer.roles)
+    rows = [2 * int(i) for i in transfer.role]
     if shots is None:
         # Python's sum adds the blocks left to right, in trial order: the
         # Gram of a run's first T trials, T a multiple of ``_BLOCK``, is bit
@@ -231,19 +231,19 @@ def run_protocol(
         return [
             TrackStats(
                 track,
-                float(means[row[role]]),
-                float(means[row[role] + 1]),
-                float(stderr[row[role]]),
-                float(stderr[row[role] + 1]),
+                float(means[row]),
+                float(means[row + 1]),
+                float(stderr[row]),
+                float(stderr[row + 1]),
                 trials=trials,
             )
-            for track, role in enumerate(roles)
+            for track, row in enumerate(rows)
         ]
     probs = _trial_probabilities(forms, seed, trials)
     shot_gen = _shot_generator(seed)
     stats = []
-    for track, role in enumerate(roles):
-        draws = 2.0 * shot_gen.binomial(shots, probs[row[role] : row[role] + 2]) / shots
+    for track, row in enumerate(rows):
+        draws = 2.0 * shot_gen.binomial(shots, probs[row : row + 2]) / shots
         means = [float(np.mean(d)) for d in draws]
         stderr = [
             float(np.std(d, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
@@ -323,51 +323,27 @@ def _trial_probabilities(forms: np.ndarray, seed: int, trials: int) -> np.ndarra
     return np.clip(probs, 0.0, 1.0, out=probs)
 
 
-def _role_forms(layer: CircuitLayer, roles: list[tuple]) -> np.ndarray:
+def _role_forms(layer: CircuitLayer, roles) -> np.ndarray:
     """Feature coefficients of the per-trial grand sums of ``roles``.
 
     Rows 2 i and 2 i + 1 hold the (computational, Fourier) forms of the
-    i-th (kind, side): a trial with features f has grand sum w . f. A
-    single-qubit gate acts as a two-track unitary on the first track. Input
-    white noise p mixes in grand sum 1; CNOT dropout q passes the input
-    through unchanged.
+    i-th (kind, side): a trial with features f has grand sum w . f. The
+    readout row, times the role's transfer tensor, times the hidden basis's
+    Bloch rotation on both inputs is a quadratic form in the trial's Bloch
+    row, folded onto the features. Input white noise p mixes in grand sum
+    1; CNOT dropout q passes the input through, as the identity's tensor.
     """
     p, q = layer.noise
-    mats = layer.gate_matrices
-    b = layer.hidden_basis.matrix()
-    forms = []
-    for kind, side in roles:
-        if kind is GateKind.CNOT:
-            keep, drop = (1.0 - q) * (1.0 - p), q * (1.0 - p)
-            forms.append(
-                keep * _grand_sum_forms(mats[kind], b, side)
-                + drop * _grand_sum_forms(np.eye(4), b, side)
-            )
-        else:
-            forms.append((1.0 - p) * _grand_sum_forms(np.kron(mats[kind], np.eye(2)), b, 0))
-    forms = np.concatenate(forms)
+    transfer = layer.transfer
+    tensors = transfer.tensors[[transfer.roles.index(role) for role in roles]]
+    drop = np.array([q if kind is GateKind.CNOT else 0.0 for kind, _ in roles]).reshape(-1, 1, 1, 1)
+    tensors = (1.0 - p) * ((1.0 - drop) * tensors + drop * pauli_transfer(np.eye(2)))
+    # Bloch rotation of the hidden basis: computational row = rot @ r.
+    rot = pauli_transfer(layer.hidden_basis.matrix())[:, :, 0]
+    quad = rot.T @ np.einsum("ra,kabc->krbc", _READOUT, tensors) @ rot
+    forms = np.einsum("krde,dej->krj", quad, _FOLD).reshape(-1, 10)
     forms[:, 0] += p
     return forms
-
-
-def _grand_sum_forms(u4: np.ndarray, b: np.ndarray, side: int) -> np.ndarray:
-    """(2, 10) feature coefficients of the (computational, Fourier) grand
-    sums of track ``side`` of the two-track unitary ``u4`` fed the input
-    ket psi = b phi on both tracks.
-
-    Each sum is tr(K rho x rho) with K = V^dag (A on track ``side``) V,
-    V = u4 (b x b) and rho = |phi><phi|. Expanding rho x rho as
-    sum_ab r_a r_b sigma_a x sigma_b / 4 gives the coefficient of each
-    monomial r_a r_b (a <= b).
-    """
-    v = u4 @ np.kron(b, b)
-    forms = []
-    for obs in _GRAND_SUMS:
-        a = np.kron(obs, np.eye(2)) if side == 0 else np.kron(np.eye(2), obs)
-        k = (v.conj().T @ a @ v).reshape(2, 2, 2, 2)
-        t = np.einsum("ijkl,aki,blj->ab", k, _PAULI, _PAULI).real
-        forms.append((t + t.T - np.diag(t.diagonal()))[np.triu_indices(4)] / 4.0)
-    return np.array(forms)
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +536,9 @@ def _pair_readings(stats: list[TrackStats], detected: list[int], ambiguous: list
 # deterministic probes: polish, selection, pairing, phase pinning
 
 
-def _track_fidelity(rho: np.ndarray, ket: np.ndarray) -> float:
-    return float(np.real(ket.conj() @ rho @ ket))
+def _fidelities(rhos, ket: np.ndarray) -> np.ndarray:
+    """<ket|rho|ket> of every output state in ``rhos``."""
+    return np.einsum("i,tij,j->t", ket.conj(), rhos, ket).real
 
 
 def _on_ray(cand: CandidateBasis, others) -> bool:
@@ -570,11 +547,9 @@ def _on_ray(cand: CandidateBasis, others) -> bool:
     return any(1.0 - abs(np.vdot(plus, o.basis.plus_ket())) ** 2 < 1e-9 for o in others)
 
 
-def _product_test_min_fidelity(
-    layer: CircuitLayer, plus: np.ndarray, tracks
-) -> float:
-    outs = run_layer_with_inputs(layer, [plus] * layer.num_tracks, tracks=tracks)
-    return min(_track_fidelity(rho, plus) for rho in outs)
+def _product_test_min_fidelity(layer: CircuitLayer, plus: np.ndarray, tracks) -> float:
+    outs = run_layer_with_inputs(layer, np.tile(plus, (layer.num_tracks, 1)), tracks=tracks)
+    return float(_fidelities(outs, plus).min())
 
 
 def _polish_candidate(
@@ -592,14 +567,14 @@ def _polish_candidate(
     converges, stays inside the candidate's own basin (squared overlap >= 0.7
     with the start), and then reaches fidelity PASS_FIDELITY on every
     required track. Only the first probe track of each role (kind, side) is
-    tried: a later track of that role gets the same output array for the
+    tried: a later track of that role gets a bit-identical output for the
     same input, so it would repeat the trajectory and both checks bit for
     bit.
     """
     n = layer.num_tracks
-    tried: set[tuple] = set()
+    tried: set[int] = set()
     for probe in probe_tracks:
-        role = layer.track_roles[probe][:2]
+        role = int(layer.transfer.role[probe])
         if role in tried:
             continue
         tried.add(role)
@@ -607,7 +582,7 @@ def _polish_candidate(
         v0 = v.copy()
         converged = False
         for _ in range(60):
-            rho = run_layer_with_inputs(layer, [v] * n, tracks=[probe])[0]
+            rho = run_layer_with_inputs(layer, np.tile(v, (n, 1)), tracks=[probe])[0]
             w = principal_eigenvector(rho)
             overlap = np.vdot(v, w)
             if abs(overlap) > 1e-12:
@@ -680,15 +655,10 @@ def pairing_probe(
     for track in order:
         if track in taken:
             continue
-        kets = [plus] * n
+        kets = np.tile(plus, (n, 1))
         kets[track] = minus
-        outs = run_layer_with_inputs(layer, kets)
-        # Tracks of one role and input share an output array; test it once.
-        flipped: dict[int, bool] = {}
-        for rho in outs:
-            if id(rho) not in flipped:
-                flipped[id(rho)] = _track_fidelity(rho, minus) >= PASS_FIDELITY
-        flips = [u for u in range(n) if u != track and flipped[id(outs[u])]]
+        flipped = _fidelities(run_layer_with_inputs(layer, kets), minus) >= PASS_FIDELITY
+        flips = [int(u) for u in np.flatnonzero(flipped) if u != track]
         if len(flips) > 1:
             raise IdentificationError(
                 f"pairing probe on track {track}: several tracks flipped ({flips})"
@@ -726,9 +696,8 @@ def _pin_basis_phase(
     n = layer.num_tracks
 
     def coherence(target_ket: np.ndarray) -> float:
-        kets = [plus] * n
-        kets[control] = s_state
-        kets[target] = target_ket
+        kets = np.tile(plus, (n, 1))
+        kets[[control, target]] = s_state, target_ket
         rho = run_layer_with_inputs(layer, kets, tracks=[control])[0]
         return float(np.real(plus.conj() @ rho @ minus))
 
@@ -739,9 +708,8 @@ def _pin_basis_phase(
     pinned = QubitBasis(alpha=phase * basis.alpha, beta=phase * basis.beta)
     check_plus = pinned.plus_ket()
     check_minus = pinned.minus_ket()
-    kets = [check_plus] * n
-    kets[control] = (check_plus + check_minus) / np.sqrt(2.0)
-    kets[target] = (check_plus + check_minus) / np.sqrt(2.0)
+    kets = np.tile(check_plus, (n, 1))
+    kets[[control, target]] = (check_plus + check_minus) / np.sqrt(2.0)
     rho = run_layer_with_inputs(layer, kets, tracks=[control])[0]
     residual = abs(complex(check_plus.conj() @ rho @ check_minus) - 0.5)
     if residual > 1e-9:
@@ -773,7 +741,7 @@ def classify_single_qubit_gates(
     ]
     n = layer.num_tracks
     tracks = list(tracks)
-    outputs = [run_layer_with_inputs(layer, [p] * n, tracks=tracks) for p in probes]
+    outputs = [run_layer_with_inputs(layer, np.tile(p, (n, 1)), tracks=tracks) for p in probes]
     kinds = (GateKind.IDENTITY, GateKind.HADAMARD, GateKind.T, GateKind.S)
     # rhos[probe, track] against projectors[gate, probe], by Frobenius norm.
     rhos = np.array(outputs).reshape(len(probes), len(tracks), 2, 2)

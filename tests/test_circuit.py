@@ -215,24 +215,26 @@ def test_run_layer_with_inputs_is_exact_per_track_and_per_subset():
     shared = [distinct[0]] * n
     copies = [distinct[0].copy() for _ in range(n)]
     subsets = [[4], [3, 0], [7, 2, 2, 8], list(range(n))[::-1], []]
-    for kets in (distinct, pairing, shared, copies):
+    # One stacked (n, 2) array is accepted in place of a sequence of kets.
+    for kets in (distinct, pairing, shared, copies, np.array(distinct)):
         full = run_layer_with_inputs(layer, kets)
         expected = _per_track_outputs(layer, kets, (0.0, 0.0))
-        assert len(full) == len(expected) == n
-        for rho, ref in zip(full, expected):
-            assert rho.shape == (2, 2) and not rho.flags.writeable
-            np.testing.assert_array_equal(rho, ref)
+        assert full.shape == (n, 2, 2) and not full.flags.writeable
+        assert np.max(np.abs(full - np.array(expected))) <= 1e-15
         for subset in subsets:
             part = run_layer_with_inputs(layer, kets, tracks=subset)
-            assert len(part) == len(subset)
-            for track, rho in zip(subset, part):
-                np.testing.assert_array_equal(rho, full[track])
-    for a, b in zip(run_layer_with_inputs(layer, shared), run_layer_with_inputs(layer, copies)):
-        np.testing.assert_array_equal(a, b)
-    # One array per (role, input ket object), shared by the tracks holding it.
+            assert part.shape == (len(subset), 2, 2)
+            np.testing.assert_array_equal(part, full[subset])
+    np.testing.assert_array_equal(
+        run_layer_with_inputs(layer, shared), run_layer_with_inputs(layer, copies)
+    )
+    # Tracks of one role fed the same input get bit-identical outputs.
     full = run_layer_with_inputs(layer, shared)
-    assert full[2] is full[9] and full[5] is full[7]
-    assert full[0] is full[8] and full[3] is full[1] and full[0] is not full[3]
+    np.testing.assert_array_equal(full[2], full[9])
+    np.testing.assert_array_equal(full[5], full[7])
+    np.testing.assert_array_equal(full[0], full[8])
+    np.testing.assert_array_equal(full[3], full[1])
+    assert not np.array_equal(full[0], full[3])
 
     bad = list(pairing)
     bad[5] = np.array([1.0, 1.0])
@@ -240,6 +242,29 @@ def test_run_layer_with_inputs_is_exact_per_track_and_per_subset():
         run_layer_with_inputs(layer, bad, tracks=[0])
     with pytest.raises(ValueError, match="tracks"):
         run_layer_with_inputs(layer, pairing, tracks=[n])
+
+
+def test_run_layer_with_inputs_rejects_wrong_length_kets_and_float_tracks():
+    # A unit ket of the wrong length used to be accepted: a CNOT pair fed
+    # four and one amplitudes returned two 2x2 outputs, and a lone
+    # three-amplitude ket died in a matmul error naming no input.
+    basis = QubitBasis.computational()
+    pair = CircuitLayer(num_tracks=2, hidden_basis=basis, gates=(CnotGate(0, 1),))
+    with pytest.raises(ValueError, match="kets\\[0\\]"):
+        run_layer_with_inputs(pair, [np.full(4, 0.5), np.array([1.0])])
+    with pytest.raises(ValueError, match="kets\\[1\\]"):
+        run_layer_with_inputs(pair, [basis.plus_ket(), np.array([1.0])])
+    lone = CircuitLayer(num_tracks=1, hidden_basis=basis)
+    with pytest.raises(ValueError, match="kets\\[0\\]"):
+        run_layer_with_inputs(lone, [np.array([0.6, 0.8, 0.0])])
+    with pytest.raises(ValueError, match="kets\\[1\\]"):
+        run_layer_with_inputs(pair, [basis.plus_ket(), np.array([[0.6, 0.8]])])
+    # Array indexing would truncate a float track to an integer one.
+    kets = [basis.plus_ket()] * 2
+    for tracks in ([0.0], [1, 0.5], [True]):
+        with pytest.raises(ValueError, match="tracks\\["):
+            run_layer_with_inputs(pair, kets, tracks=tracks)
+    assert run_layer_with_inputs(pair, kets, tracks=[np.int64(1)]).shape == (1, 2, 2)
 
 
 def _trial_ket(basis, u):

@@ -366,7 +366,7 @@ CLI_OUTPUT_DIGESTS = {
     "identify-csv": (
         ["identify", "--in", "layer.json", "--seed", "3", "--trials", "20000",
          "--format", "csv"],
-        "2c78b3be8a3fda23b9c3624c8fc9257375e101b52e95acab3fa9062cde59865f",
+        "702cf31ad4708538eeb71418e1e79113fa086ced41576932caf26c75b7be11f8",
     ),
 }
 

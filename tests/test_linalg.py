@@ -13,7 +13,6 @@ from texlab.linalg import (
     frobenius_distance,
     kron,
     kron_all,
-    partial_trace,
     principal_eigenvector,
 )
 
@@ -84,36 +83,6 @@ def test_kron_all_left_associates():
     np.testing.assert_allclose(kron_all(mats), expected)
     with pytest.raises(ValueError, match="at least one"):
         kron_all([])
-
-
-def test_partial_trace_of_product_recovers_factors():
-    rng = np.random.default_rng(14)
-    a = _random_matrix(rng, 2, 2)
-    b = _random_matrix(rng, 3, 3)
-    joint = np.kron(a, b)
-    np.testing.assert_allclose(
-        partial_trace(joint, (2, 3), keep=0), a * np.trace(b), atol=1e-12
-    )
-    np.testing.assert_allclose(
-        partial_trace(joint, (2, 3), keep=1), b * np.trace(a), atol=1e-12
-    )
-
-
-def test_partial_trace_preserves_trace():
-    rng = np.random.default_rng(15)
-    m = _random_matrix(rng, 6, 6)
-    for keep in (0, 1):
-        reduced = partial_trace(m, (2, 3), keep=keep)
-        np.testing.assert_allclose(np.trace(reduced), np.trace(m), atol=1e-12)
-
-
-def test_partial_trace_validates_arguments():
-    with pytest.raises(ValueError, match="dims"):
-        partial_trace(np.eye(4), (0, 4), keep=0)
-    with pytest.raises(ValueError, match="shape"):
-        partial_trace(np.eye(5), (2, 3), keep=0)
-    with pytest.raises(ValueError, match="keep"):
-        partial_trace(np.eye(6), (2, 3), keep=2)
 
 
 def test_frobenius_distance_basics():

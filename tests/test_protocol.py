@@ -310,14 +310,16 @@ def test_shot_mode_is_deterministic_and_consistent():
 def test_openblas_thread_count_does_not_change_report_bytes():
     # The engine's Gram blocks and every other product stay below
     # OpenBLAS's threading bound, so one and two threads give the same bytes.
+    # The 128-track layer's probe contractions grow with the track count.
     script = (
         "import hashlib\n"
         "from texlab.protocol import identify_layer, random_layer, report_to_json_dict\n"
         "from texlab.serialize import dumps_canonical\n"
-        "layer = random_layer(num_tracks=8, num_cnots=3, seed=42, min_component=0.15)\n"
-        "report = identify_layer(layer, seed=1, trials=100_000)\n"
-        "text = dumps_canonical(report_to_json_dict(report))\n"
-        "print(report.status, hashlib.sha256(text.encode()).hexdigest())\n"
+        "for tracks, cnots in ((8, 3), (128, 20)):\n"
+        "    layer = random_layer(num_tracks=tracks, num_cnots=cnots, seed=42, min_component=0.15)\n"
+        "    report = identify_layer(layer, seed=1, trials=100_000)\n"
+        "    text = dumps_canonical(report_to_json_dict(report))\n"
+        "    print(report.status, hashlib.sha256(text.encode()).hexdigest())\n"
     )
     src = os.path.dirname(os.path.dirname(protocol.__file__))
     outputs = []
@@ -328,7 +330,7 @@ def test_openblas_thread_count_does_not_change_report_bytes():
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
         )
         outputs.append(done.stdout)
-    assert outputs[0].startswith("full ")
+    assert [line.split()[0] for line in outputs[0].splitlines()] == ["full", "full"]
     assert outputs[0] == outputs[1]
 
 
@@ -1269,22 +1271,23 @@ def test_seeded_sweep_never_raises_or_claims_a_wrong_full():
             assert report.notes
 
 
-#: SHA-256 of the canonical report bytes of fixed layers. The exact-mode
-#: digests were last recorded when the trial engine moved to role forms
-#: against a Gram matrix of Bloch monomials, which changed the statistics'
-#: last bits; the shot-mode digests kept their bytes through that change. A
-#: change that moves any of these bytes must record why, and the old and
-#: new digests.
+#: SHA-256 of the canonical report bytes of fixed layers. The digests of
+#: every clean layer were last recorded when the engine forms and the probe
+#: outputs moved to per-role Pauli transfer tensors, which changed the
+#: exact-mode statistics' and the selected bases' last bits. The shot-mode
+#: statistics kept their bytes (no binomial draw moved), so the noisy
+#: layer, which stops after detection, kept its digest. A change that moves
+#: any of these bytes must record why, and the old and new digests.
 PINNED_REPORTS = {
     "narrow": (
         dict(num_tracks=6, num_cnots=2, seed=31, min_component=0.15),
         dict(seed=41, trials=100_000),
-        "8011f6823ff37867ce7ebd20e1a78011e54163a54acb4ee5327d1dc083ae8509",
+        "fa2b96e38f3de458b1fcd6aae1dbf99e104dcc0eea4086d5757087f797021991",
     ),
     "48-tracks": (
         dict(num_tracks=48, num_cnots=6, seed=32, min_component=0.15),
         dict(seed=42, trials=50_000),
-        "395cf8c44441e690c3f9180451e17f80c81acfcb32f119e3c06d0b3deb5156fb",
+        "e8797f2947ebf683f40279adfb4facab538cb1e5b36afd6ac07406fe971c5e1e",
     ),
     "noisy-shots": (
         dict(num_tracks=16, num_cnots=2, seed=33, min_component=0.15, noise=(0.05, 0.1)),
@@ -1294,7 +1297,7 @@ PINNED_REPORTS = {
     "clean-shots": (
         dict(num_tracks=8, num_cnots=2, seed=34, min_component=0.2),
         dict(seed=44, trials=100_000, shots=1000),
-        "025300ce5b01f59e2dcc4d8587262aeb6f9defbbcbbcfb03becc918f01267010",
+        "8d606dbdb0faaff5f944dd4ab0e16db7f6a9f8309a9b56e480c6b7e1be1b300e",
     ),
 }
 
@@ -1305,6 +1308,189 @@ def test_report_bytes_are_pinned(name):
     report = identify_layer(random_layer(**layer_kwargs), **identify_kwargs)
     text = dumps_canonical(report_to_json_dict(report))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# the former layer kernels, kept verbatim as exact oracles of the transfer
+# tensors (the partial trace they called is inlined as its einsum)
+
+_PAULI_REFERENCE = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
+)
+_GRAND_SUMS_REFERENCE = (np.ones((2, 2)), np.diag([2.0, 0.0]))
+
+
+def _role_forms_reference(layer, roles):
+    # The former engine forms: each role's unitary expanded into grand-sum
+    # forms by ``_grand_sum_forms_reference``.
+    p, q = layer.noise
+    mats = layer.gate_matrices
+    b = layer.hidden_basis.matrix()
+    forms = []
+    for kind, side in roles:
+        if kind is GateKind.CNOT:
+            keep, drop = (1.0 - q) * (1.0 - p), q * (1.0 - p)
+            forms.append(
+                keep * _grand_sum_forms_reference(mats[kind], b, side)
+                + drop * _grand_sum_forms_reference(np.eye(4), b, side)
+            )
+        else:
+            forms.append(
+                (1.0 - p) * _grand_sum_forms_reference(np.kron(mats[kind], np.eye(2)), b, 0)
+            )
+    forms = np.concatenate(forms)
+    forms[:, 0] += p
+    return forms
+
+
+def _grand_sum_forms_reference(u4, b, side):
+    v = u4 @ np.kron(b, b)
+    forms = []
+    for obs in _GRAND_SUMS_REFERENCE:
+        a = np.kron(obs, np.eye(2)) if side == 0 else np.kron(np.eye(2), obs)
+        k = (v.conj().T @ a @ v).reshape(2, 2, 2, 2)
+        t = np.einsum("ijkl,aki,blj->ab", k, _PAULI_REFERENCE, _PAULI_REFERENCE).real
+        forms.append((t + t.T - np.diag(t.diagonal()))[np.triu_indices(4)] / 4.0)
+    return np.array(forms)
+
+
+def _run_layer_with_inputs_reference(layer, kets, tracks=None):
+    # The former probe simulator: a list of read-only 2x2 outputs, one 4x4
+    # conjugation per (role, input ket objects), shared by id().
+    from texlab.linalg import as_ket
+
+    kets = list(kets)
+    if len(kets) != layer.num_tracks:
+        raise ValueError(f"kets: expected {layer.num_tracks} inputs, got {len(kets)}")
+    checked = {}
+    for t, k in enumerate(kets):
+        if id(k) not in checked:
+            checked[id(k)] = as_ket(k, name=f"kets[{t}]")
+    kets = [checked[id(k)] for k in kets]
+    tracks = range(layer.num_tracks) if tracks is None else list(tracks)
+    bad = [t for t in tracks if not 0 <= t < layer.num_tracks]
+    if bad:
+        raise ValueError(f"tracks: {bad} out of range for {layer.num_tracks} tracks")
+    mats = layer.gate_matrices
+    roles = layer.track_roles
+    states = {}
+    outputs = []
+    for track in tracks:
+        kind, side, pair = roles[track]
+        if pair is None:
+            key = (kind, id(kets[track]))
+        else:
+            key = (side, id(kets[pair[0]]), id(kets[pair[1]]))
+        rho = states.get(key)
+        if rho is None:
+            if pair is None:
+                out = mats[kind] @ kets[track]
+                rho = np.outer(out, out.conj())
+            else:
+                u4 = mats[GateKind.CNOT]
+                joint_ket = np.outer(kets[pair[0]], kets[pair[1]]).reshape(4)
+                joint_in = np.outer(joint_ket, joint_ket.conj())
+                joint_out = (u4 @ joint_in @ u4.conj().T).reshape(2, 2, 2, 2)
+                rho = np.einsum("ikjk->ij" if side == 0 else "kikj->ij", joint_out)
+            rho.setflags(write=False)
+            states[key] = rho
+        outputs.append(rho)
+    return outputs
+
+
+def _former_kernels(m):
+    m.setattr(protocol, "_role_forms", _role_forms_reference)
+    m.setattr(protocol, "run_layer_with_inputs", _run_layer_with_inputs_reference)
+
+
+def test_role_forms_match_the_former_grand_sum_forms():
+    for seed in range(40):
+        for noise in _ENGINE_NOISE:
+            layer = _every_kind_layer(seed, 0.0 if seed % 2 else 0.15, noise)
+            roles = [(kind, side) for kind, side, _pair in layer.track_roles]
+            got = _role_forms(layer, roles)
+            want = _role_forms_reference(layer, roles)
+            assert got.shape == want.shape == (2 * len(roles), 10)
+            assert np.max(np.abs(got - want)) <= 1e-15, (seed, noise)
+
+
+def test_probe_outputs_match_the_former_simulator():
+    rng = np.random.default_rng(83)
+    for seed in range(40):
+        n = 2 + seed % 11
+        layer = random_layer(
+            num_tracks=n,
+            num_cnots=seed % (n // 2 + 1),
+            seed=seed,
+            min_component=0.0 if seed % 2 else 0.15,
+        )
+        z = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        distinct = list(z / np.linalg.norm(z, axis=1)[:, None])
+        plus = layer.hidden_basis.plus_ket()
+        pairing = [plus] * n
+        pairing[seed % n] = layer.hidden_basis.minus_ket()
+        subset = list(rng.permutation(n)[: 1 + seed % n])
+        for kets in (distinct, pairing, [distinct[0]] * n):
+            for tracks in (None, subset):
+                got = run_layer_with_inputs(layer, kets, tracks=tracks)
+                want = np.array(_run_layer_with_inputs_reference(layer, kets, tracks=tracks))
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-15, seed
+
+
+#: Report digests of the kernels before the transfer tensors, which the
+#: former kernels must still reproduce: only the kernels moved the bytes.
+_FORMER_KERNEL_DIGESTS = {
+    "narrow": "8011f6823ff37867ce7ebd20e1a78011e54163a54acb4ee5327d1dc083ae8509",
+    "48-tracks": "395cf8c44441e690c3f9180451e17f80c81acfcb32f119e3c06d0b3deb5156fb",
+    "noisy-shots": "2383e607e894623071337d539d6b1a02707607f21eb5e82f88bb311bb1f6e142",
+    "clean-shots": "025300ce5b01f59e2dcc4d8587262aeb6f9defbbcbbcfb03becc918f01267010",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_former_kernels_reproduce_the_former_report_bytes(name, monkeypatch):
+    layer_kwargs, identify_kwargs, _digest = PINNED_REPORTS[name]
+    _former_kernels(monkeypatch)
+    report = identify_layer(random_layer(**layer_kwargs), **identify_kwargs)
+    text = dumps_canonical(report_to_json_dict(report))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == _FORMER_KERNEL_DIGESTS[name]
+
+
+def test_sweep_decisions_match_the_former_kernels(monkeypatch):
+    # 2-12 tracks, every fifth layer all-CNOT, min_component 0 or 0.15,
+    # 500 to 100k trials, 1000 shots on up to 10k trials.
+    gen = np.random.default_rng(2109)
+    compared = selected = 0
+    for index in range(150):
+        n = int(gen.integers(2, 13))
+        cnots = n // 2 if index % 5 == 0 else int(gen.integers(1, n // 2 + 1))
+        layer = random_layer(
+            num_tracks=n,
+            num_cnots=cnots,
+            seed=int(gen.integers(2**63)),
+            min_component=float(gen.choice([0.0, 0.15])),
+        )
+        trials = int(gen.choice([500, 1000, 2000, 10_000, 100_000]))
+        shots = 1000 if trials <= 10_000 and gen.random() < 0.4 else None
+        kwargs = dict(seed=int(gen.integers(2**63)), trials=trials, shots=shots)
+        got = identify_layer(layer, **kwargs)
+        with monkeypatch.context() as m:
+            _former_kernels(m)
+            want = identify_layer(layer, **kwargs)
+        where = (index, n, cnots, kwargs)
+        assert got.status == want.status, where
+        assert got.cnot_pairs == want.cnot_pairs, where
+        assert got.gates == want.gates, where
+        assert got.notes == want.notes, where
+        assert len(got.candidates) == len(want.candidates), where
+        assert (got.selected is None) == (want.selected is None), where
+        if got.selected is not None:
+            a, b = got.selected.basis, want.selected.basis
+            assert max(abs(a.alpha - b.alpha), abs(a.beta - b.beta)) <= 1e-12, where
+            selected += 1
+        compared += 1
+    assert compared == 150 and selected >= 100
 
 
 def test_protocol_report_invariants():
