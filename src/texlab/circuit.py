@@ -25,9 +25,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import KET_ATOL, as_ket, kron
+from .linalg import kron
 from .serialize import parse_complex_field, require_integer
-from .states import QubitBasis
+from .states import BLOCH_NORM_SLACK, QubitBasis
 
 __all__ = [
     "GateKind",
@@ -207,15 +207,6 @@ class CircuitLayer:
         object.__setattr__(self, "gates", gates)
 
     @cached_property
-    def gate_matrices(self) -> dict[GateKind, np.ndarray]:
-        """Read-only computational-coordinate matrix of every gate kind,
-        built once per layer on first use."""
-        mats = {kind: gate_matrix(kind, self.hidden_basis) for kind in GateKind}
-        for m in mats.values():
-            m.setflags(write=False)
-        return mats
-
-    @cached_property
     def transfer(self) -> LayerTransfer:
         """Read-only, built once per layer from the gate matrices of its roles;
         the trial engine and the probe simulator both read it."""
@@ -256,56 +247,64 @@ class CircuitLayer:
         return out
 
 
-def run_layer_with_inputs(layer: CircuitLayer, kets, tracks=None) -> np.ndarray:
-    """Deterministic, noise-free run with a chosen input ket per track.
+def run_layer_with_inputs(layer: CircuitLayer, inputs, tracks=None) -> np.ndarray:
+    """Deterministic, noise-free run with a chosen input state per track.
 
     Probe semantics: noise knobs are ignored, inputs are taken as given.
-    ``kets`` (kets, or one (num_tracks, 2) array) is validated once and read
-    as Bloch rows; ``tracks`` (default: all, in order) are evaluated in one
-    contraction with ``layer.transfer``. Returns their read-only (len(tracks),
-    2, 2) reduced output states; one role fed the same inputs gives
+    ``inputs`` is one real (num_tracks, 4) array of Bloch rows (1, x, y, z),
+    validated once; ``tracks`` (default: all, in order) are evaluated in one
+    contraction with ``layer.transfer``. Returns their read-only
+    (len(tracks), 4) output Bloch rows; one role fed the same inputs gives
     bit-identical outputs.
     """
-    bloch = _input_bloch_rows(kets, layer.num_tracks)
+    rows = _input_rows(inputs, layer.num_tracks)
     if tracks is None:
         tracks = np.arange(layer.num_tracks)
     else:
-        tracks = list(tracks)
-        for i, t in enumerate(tracks):
-            require_integer(t, name=f"tracks[{i}]")
-        tracks = np.array(tracks, dtype=np.intp)
-    bad = tracks[(tracks < 0) | (tracks >= layer.num_tracks)]
-    if bad.size:
-        raise ValueError(f"tracks: {bad.tolist()} out of range for {layer.num_tracks} tracks")
+        tracks = np.array(_check_tracks(tracks, layer.num_tracks, name="tracks"), dtype=np.intp)
     transfer = layer.transfer
-    joint = bloch[tracks, :, None] * bloch[transfer.partner[tracks], None, :]
+    joint = rows[tracks, :, None] * rows[transfer.partner[tracks], None, :]
     tensors = transfer.tensors[transfer.role[tracks]].reshape(-1, 4, 16)
     out = np.einsum("tak,tk->ta", tensors, joint.reshape(-1, 16))
-    # rho = sum_a r_a sigma_a / 2, as interleaved real and imaginary parts.
-    out = np.einsum("ta,ak->tk", out, _PAULI.reshape(4, 4).view(float) / 2.0)
-    out = out.view(np.complex128).reshape(-1, 2, 2)
     out.setflags(write=False)
     return out
 
 
-def _input_bloch_rows(kets, num_tracks: int) -> np.ndarray:
-    """(num_tracks, 4) Bloch rows (|a|^2 + |b|^2, 2 Re a*b, 2 Im a*b,
-    |a|^2 - |b|^2) of one validated ket (a, b) per track."""
-    kets = kets if isinstance(kets, np.ndarray) else list(kets)
-    if len(kets) != num_tracks:
-        raise ValueError(f"kets: expected {num_tracks} inputs, got {len(kets)}")
+def _check_tracks(tracks, num_tracks: int, *, name: str) -> list:
+    """``tracks`` as a list, each entry an integer track of the layer; the
+    ValueError for a bad entry names ``name``."""
+    tracks = list(tracks)
+    for i, t in enumerate(tracks):
+        require_integer(t, name=f"{name}[{i}]")
+    bad = [int(t) for t in tracks if not 0 <= t < num_tracks]
+    if bad:
+        raise ValueError(f"{name}: {bad} out of range for {num_tracks} tracks")
+    return tracks
+
+
+def _input_rows(inputs, num_tracks: int) -> np.ndarray:
+    """``inputs`` as a float (num_tracks, 4) array, each row finite, with
+    column 0 exactly 1 and (x, y, z) inside the Bloch ball."""
     try:
-        psi = np.array(kets, dtype=np.complex128)
-    except (TypeError, ValueError):  # ragged: some ket has the wrong shape
-        psi = np.empty(0)
-    a, b = psi.T if psi.shape == (num_tracks, 2) else np.full((2, num_tracks), np.nan)
-    cross, aa, bb = a.conj() * b, (a * a.conj()).real, (b * b.conj()).real
-    if not (np.abs(np.sqrt(aa + bb) - 1.0) <= KET_ATOL).all():
-        for t, k in enumerate(kets):
-            size = as_ket(k, name=f"kets[{t}]").shape[0]
-            if size != 2:
-                raise ValueError(f"kets[{t}]: expected 2 amplitudes, got {size}")
-    return np.stack([aa + bb, 2.0 * cross.real, 2.0 * cross.imag, aa - bb], axis=1)
+        rows = np.asarray(inputs)
+    except ValueError:  # ragged
+        rows = np.empty(0)
+    if rows.shape != (num_tracks, 4) or rows.dtype.kind not in "iuf":
+        raise ValueError(
+            f"inputs: expected a real ({num_tracks}, 4) array of Bloch rows, "
+            f"got shape {rows.shape} of {rows.dtype}"
+        )
+    rows = rows.astype(float, copy=False)
+    xyz = rows[:, 1:]
+    # A nan or inf fails both comparisons (einsum warns of no overflow).
+    ok = (rows[:, 0] == 1.0) & (np.einsum("ti,ti->t", xyz, xyz) <= (1.0 + BLOCH_NORM_SLACK) ** 2)
+    if not ok.all():
+        t = int(np.argmin(ok))
+        raise ValueError(
+            f"inputs[{t}]: expected a finite Bloch row (1, x, y, z) with "
+            f"|(x, y, z)| <= 1, got {rows[t].tolist()}"
+        )
+    return rows
 
 
 _KIND_BY_NAME = {kind.value: kind for kind in GateKind}

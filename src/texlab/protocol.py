@@ -37,15 +37,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuit import (
+    _SINGLE_KINDS,
     CircuitLayer,
     CnotGate,
     GateKind,
     SingleGate,
-    gate_matrix,
+    _check_tracks,
     pauli_transfer,
     run_layer_with_inputs,
+    standard_gate_matrix,
 )
-from .linalg import principal_eigenvector
+# Nothing here calls it: perfbench/tracing.py wraps this name with getattr
+# and fails without it. The wrapping goes with ROADMAP item 6.
+from .linalg import principal_eigenvector  # noqa: F401
 from .serialize import ARTIFACT_VERSION, dumps_csv, require_integer
 from .states import QubitBasis, basis_distance
 
@@ -56,7 +60,7 @@ DEFAULT_TAU = 0.05
 PASS_FIDELITY = 1.0 - 1e-9
 
 #: Frobenius tolerance between a probe output and a dictionary gate's
-#: predicted output projector.
+#: predicted output projector: |out - pred| / sqrt(2) on their Bloch rows.
 GATE_MATCH_ATOL = 1e-8
 
 #: |beta|^2 (or |alpha|^2) below this means the association branch is treated
@@ -90,6 +94,15 @@ _READOUT = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0]])
 #: Folds a (4, 4) quadratic form in r onto the features r_a r_b (a <= b).
 _FOLD = np.zeros((4, 4, 10))
 _FOLD[(*np.triu_indices(4), range(10))] = _FOLD[(*np.triu_indices(4)[::-1], range(10))] = 1.0
+
+#: Hidden-frame Bloch rows of the probe states |+>, |->, (|+>+|->)/sqrt(2)
+#: and (|+>+i|->)/sqrt(2).
+_PROBES = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [1, 1, 0, 0], [1, 0, 1, 0]], dtype=float)
+
+#: Bloch transfer matrices of the single-qubit gates in their standard form.
+_STANDARD_TRANSFER = np.array(
+    [pauli_transfer(standard_gate_matrix(kind))[:, :, 0] for kind in _SINGLE_KINDS]
+)
 
 
 class IdentificationError(RuntimeError):
@@ -338,12 +351,24 @@ def _role_forms(layer: CircuitLayer, roles) -> np.ndarray:
     tensors = transfer.tensors[[transfer.roles.index(role) for role in roles]]
     drop = np.array([q if kind is GateKind.CNOT else 0.0 for kind, _ in roles]).reshape(-1, 1, 1, 1)
     tensors = (1.0 - p) * ((1.0 - drop) * tensors + drop * pauli_transfer(np.eye(2)))
-    # Bloch rotation of the hidden basis: computational row = rot @ r.
-    rot = pauli_transfer(layer.hidden_basis.matrix())[:, :, 0]
+    rot = _frame(layer.hidden_basis)
     quad = rot.T @ np.einsum("ra,kabc->krbc", _READOUT, tensors) @ rot
     forms = np.einsum("krde,dej->krj", quad, _FOLD).reshape(-1, 10)
     forms[:, 0] += p
     return forms
+
+
+def _frame(basis: QubitBasis) -> np.ndarray:
+    """Bloch rotation of ``basis``: computational row = frame @ hidden row."""
+    return pauli_transfer(basis.matrix())[:, :, 0]
+
+
+def _probe_rows(basis: QubitBasis) -> np.ndarray:
+    """Computational Bloch rows of the ``_PROBES`` states of ``basis``: the
+    frame's columns f0 + f3, f0 - f3, f0 + f1 and f0 + f2."""
+    rows = _PROBES @ _frame(basis).T
+    rows[:, 0] = 1.0  # f0 is (1, 0, 0, 0) up to rounding
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -536,20 +561,10 @@ def _pair_readings(stats: list[TrackStats], detected: list[int], ambiguous: list
 # deterministic probes: polish, selection, pairing, phase pinning
 
 
-def _fidelities(rhos, ket: np.ndarray) -> np.ndarray:
-    """<ket|rho|ket> of every output state in ``rhos``."""
-    return np.einsum("i,tij,j->t", ket.conj(), rhos, ket).real
-
-
 def _on_ray(cand: CandidateBasis, others) -> bool:
     """Whether 1 - |<a+|b+>|^2 < 1e-9 for the |+> kets of ``cand`` and one of ``others``."""
     plus = cand.basis.plus_ket()
     return any(1.0 - abs(np.vdot(plus, o.basis.plus_ket())) ** 2 < 1e-9 for o in others)
-
-
-def _product_test_min_fidelity(layer: CircuitLayer, plus: np.ndarray, tracks) -> float:
-    outs = run_layer_with_inputs(layer, np.tile(plus, (layer.num_tracks, 1)), tracks=tracks)
-    return float(_fidelities(outs, plus).min())
 
 
 def _polish_candidate(
@@ -560,44 +575,44 @@ def _polish_candidate(
 ) -> np.ndarray | None:
     """Refine a candidate |+> ket to a fixed point of the layer's probes.
 
-    Feeding a candidate into all tracks and replacing it with the principal
-    eigenvector of a CNOT control output contracts quadratically onto the
-    true |+>; target and identity tracks do not contract, so the probe
-    tracks are tried in turn and a result is accepted only if the iteration
-    converges, stays inside the candidate's own basin (squared overlap >= 0.7
-    with the start), and then reaches fidelity PASS_FIDELITY on every
-    required track. Only the first probe track of each role (kind, side) is
-    tried: a later track of that role gets a bit-identical output for the
-    same input, so it would repeat the trajectory and both checks bit for
-    bit.
+    Feeding a candidate's Bloch row into all tracks and replacing it with
+    the Bloch direction of a CNOT control output contracts quadratically
+    onto the true |+>; target and identity tracks do not contract, so the
+    probe tracks are tried in turn and a result is accepted only if the
+    iteration converges (an output of zero Bloch length does not), stays
+    inside the candidate's own basin (squared overlap >= 0.7 with the
+    start), and then reaches fidelity PASS_FIDELITY on every required
+    track. Only the first probe track of each role (kind, side) is tried: a
+    later track of that role gets a bit-identical output for the same
+    input, so it would repeat the trajectory and both checks bit for bit.
     """
     n = layer.num_tracks
+    start = _probe_rows(basis)[0]
     tried: set[int] = set()
     for probe in probe_tracks:
         role = int(layer.transfer.role[probe])
         if role in tried:
             continue
         tried.add(role)
-        v = basis.plus_ket()
-        v0 = v.copy()
-        converged = False
+        row, step = start, 1.0
         for _ in range(60):
-            rho = run_layer_with_inputs(layer, np.tile(v, (n, 1)), tracks=[probe])[0]
-            w = principal_eigenvector(rho)
-            overlap = np.vdot(v, w)
-            if abs(overlap) > 1e-12:
-                w = w * (np.conj(overlap) / abs(overlap))
-            delta = float(np.linalg.norm(w - v))
-            v = w
-            if delta < 1e-13:
-                converged = True
+            out = run_layer_with_inputs(layer, np.tile(row, (n, 1)), tracks=[probe])[0]
+            length = np.linalg.norm(out[1:])
+            if length == 0.0:  # no direction: stop with the last step unconverged
                 break
-        if not converged:
+            new = np.concatenate(([1.0], out[1:] / length))
+            step, row = np.linalg.norm(new - row), new
+            if step < 2e-13:
+                break
+        if step >= 2e-13 or start @ row / 2.0 < BASIN_MIN_OVERLAP:
             continue
-        if abs(np.vdot(v0, v)) ** 2 < BASIN_MIN_OVERLAP:
-            continue
-        if _product_test_min_fidelity(layer, v, required_tracks) >= PASS_FIDELITY:
-            return v
+        outs = run_layer_with_inputs(layer, np.tile(row, (n, 1)), tracks=required_tracks)
+        if np.einsum("ta,a->t", outs, row).min() / 2.0 >= PASS_FIDELITY:
+            # (1 + x X + y Y + z Z)|+> = 2|v><v|+>: the ket |v> of ``row``,
+            # phased so <+|v> > 0.
+            (_one, x, y, z), (a, b) = row, basis.plus_ket()
+            v = np.array([(1.0 + z) * a + (x - 1j * y) * b, (x + 1j * y) * a + (1.0 - z) * b])
+            return v / np.linalg.norm(v)
     return None
 
 
@@ -610,14 +625,16 @@ def disambiguate(
     Returns the polished passing candidates; of several on one ray the
     first is kept. The list may be empty, and several survivors are left for
     pairing and gate classification to resolve. Raises IdentificationError
-    only when ``candidates`` or ``cnot_tracks`` is empty.
+    only when ``candidates`` or ``cnot_tracks`` is empty, and ValueError for
+    a track that is not an integer track of the layer.
     """
     candidates = list(candidates)
     if not candidates:
         raise IdentificationError("no candidate bases were supplied")
-    cnot_tracks = list(cnot_tracks)
+    cnot_tracks = _check_tracks(cnot_tracks, layer.num_tracks, name="cnot_tracks")
     if not cnot_tracks:
         raise IdentificationError("no detected CNOT tracks to probe against")
+    ambiguous_tracks = _check_tracks(ambiguous_tracks, layer.num_tracks, name="ambiguous_tracks")
     probe_tracks = cnot_tracks + [t for t in ambiguous_tracks if t not in cnot_tracks]
     passing: list[CandidateBasis] = []
     for cand in candidates:
@@ -641,23 +658,20 @@ def pairing_probe(
     track) flips nothing and the track is skipped — its control, probed
     later, recovers the pair. Returns (pairs, cleared) where ``cleared``
     are candidate tracks shown not to be CNOT members. Raises ValueError for
-    a candidate track outside the layer.
+    a candidate track that is not an integer track of the layer.
     """
-    plus = basis.plus_ket()
-    minus = basis.minus_ket()
+    plus, minus = _probe_rows(basis)[:2]
     n = layer.num_tracks
-    order = list(dict.fromkeys(candidate_tracks))
-    bad = [t for t in order if not 0 <= t < n]
-    if bad:
-        raise ValueError(f"candidate_tracks: {bad} out of range for {n} tracks")
+    order = list(dict.fromkeys(_check_tracks(candidate_tracks, n, name="candidate_tracks")))
     taken: set[int] = set()
     pairs: list[tuple[int, int]] = []
     for track in order:
         if track in taken:
             continue
-        kets = np.tile(plus, (n, 1))
-        kets[track] = minus
-        flipped = _fidelities(run_layer_with_inputs(layer, kets), minus) >= PASS_FIDELITY
+        rows = np.tile(plus, (n, 1))
+        rows[track] = minus
+        outs = run_layer_with_inputs(layer, rows)
+        flipped = np.einsum("ta,a->t", outs, minus) / 2.0 >= PASS_FIDELITY
         flips = [int(u) for u in np.flatnonzero(flipped) if u != track]
         if len(flips) > 1:
             raise IdentificationError(
@@ -684,34 +698,30 @@ def _pin_basis_phase(
     Probe runs only constrain the |+> ray; gamma is measured through the
     CNOT's flip operator: with the control in (|+>+|->)/sqrt(2) and the
     target in (|+>+|->)/sqrt(2) or (|+>+i|->)/sqrt(2), the control-output
-    coherence <+|rho|-> equals cos(2 gamma)/2 and sin(2 gamma)/2. The
-    returned basis absorbs e^{-i gamma} (gamma is determined up to pi, i.e.
-    up to the redundant global sign).
+    coherence <+|rho|-> equals cos(2 gamma)/2 and sin(2 gamma)/2. Its output
+    row r gives Re <+|rho|-> = (r.m_s - 1)/2 and Im <+|rho|-> = (1 - r.m_i)/2,
+    with m_s and m_i the rows of those two states. The returned basis absorbs
+    e^{-i gamma} (gamma is determined up to pi, i.e. up to the redundant
+    global sign).
     """
     control, target = pair
-    plus = basis.plus_ket()
-    minus = basis.minus_ket()
-    s_state = (plus + minus) / np.sqrt(2.0)
-    i_state = (plus + 1j * minus) / np.sqrt(2.0)
     n = layer.num_tracks
 
-    def coherence(target_ket: np.ndarray) -> float:
-        kets = np.tile(plus, (n, 1))
-        kets[[control, target]] = s_state, target_ket
-        rho = run_layer_with_inputs(layer, kets, tracks=[control])[0]
-        return float(np.real(plus.conj() @ rho @ minus))
+    def coherence(probes: np.ndarray, target_row: np.ndarray) -> complex:
+        plus, _minus, m_s, m_i = probes
+        rows = np.tile(plus, (n, 1))
+        rows[[control, target]] = m_s, target_row
+        out = run_layer_with_inputs(layer, rows, tracks=[control])[0]
+        return complex(out @ m_s - 1.0, 1.0 - out @ m_i) / 2.0
 
-    cos_term = 2.0 * coherence(s_state)
-    sin_term = 2.0 * coherence(i_state)
+    probes = _probe_rows(basis)
+    cos_term = 2.0 * coherence(probes, probes[2]).real
+    sin_term = 2.0 * coherence(probes, probes[3]).real
     gamma = 0.5 * math.atan2(sin_term, cos_term)
     phase = np.exp(-1j * gamma)
     pinned = QubitBasis(alpha=phase * basis.alpha, beta=phase * basis.beta)
-    check_plus = pinned.plus_ket()
-    check_minus = pinned.minus_ket()
-    kets = np.tile(check_plus, (n, 1))
-    kets[[control, target]] = (check_plus + check_minus) / np.sqrt(2.0)
-    rho = run_layer_with_inputs(layer, kets, tracks=[control])[0]
-    residual = abs(complex(check_plus.conj() @ rho @ check_minus) - 0.5)
+    probes = _probe_rows(pinned)
+    residual = abs(coherence(probes, probes[2]) - 0.5)
     if residual > 1e-9:
         raise IdentificationError(
             f"phase pinning failed: coherence residual {residual:.3e}"
@@ -726,33 +736,23 @@ def classify_single_qubit_gates(
 
     Four probe runs (|+>, |->, their equal superposition, and the
     i-superposition, fed to all tracks at once) give each track four output
-    states. A track takes the label of the dictionary gate g, in ``basis``,
-    whose predicted outputs |g probe><g probe| all lie within GATE_MATCH_ATOL
-    of them; four output rays fix a unitary up to a global phase. A track
+    Bloch rows. A track takes the label of the dictionary gate g, in
+    ``basis``, whose predicted output rows frame @ T_g @ probe all lie
+    within GATE_MATCH_ATOL of them in Frobenius distance, |out - pred| /
+    sqrt(2); four output rays fix a unitary up to a global phase. A track
     matching no gate, a mixed-output track among them, is labeled "unknown".
     """
-    plus = basis.plus_ket()
-    minus = basis.minus_ket()
-    probes = [
-        plus,
-        minus,
-        (plus + minus) / np.sqrt(2.0),
-        (plus + 1j * minus) / np.sqrt(2.0),
-    ]
     n = layer.num_tracks
     tracks = list(tracks)
-    outputs = [run_layer_with_inputs(layer, np.tile(p, (n, 1)), tracks=tracks) for p in probes]
-    kinds = (GateKind.IDENTITY, GateKind.HADAMARD, GateKind.T, GateKind.S)
-    # rhos[probe, track] against projectors[gate, probe], by Frobenius norm.
-    rhos = np.array(outputs).reshape(len(probes), len(tracks), 2, 2)
-    mats = np.array([gate_matrix(kind, basis) for kind in kinds])
-    predicted = np.einsum("gij,pj->gpi", mats, np.array(probes))
-    projectors = np.einsum("gpi,gpj->gpij", predicted, predicted.conj())
-    distance = np.linalg.norm(rhos - projectors[:, :, None], axis=(-2, -1))
+    rows = _probe_rows(basis)
+    outs = np.array([run_layer_with_inputs(layer, np.tile(r, (n, 1)), tracks=tracks) for r in rows])
+    # outs[probe, track] against predicted[gate, probe].
+    predicted = np.einsum("ab,gbc,pc->gpa", _frame(basis), _STANDARD_TRANSFER, _PROBES)
+    distance = np.linalg.norm(outs - predicted[:, :, None], axis=-1) / math.sqrt(2.0)
     matches = (distance <= GATE_MATCH_ATOL).all(axis=1)
     labels: dict[int, str] = {}
     for index, track in enumerate(tracks):
-        hits = [kind.value for kind, hit in zip(kinds, matches[:, index]) if hit]
+        hits = [kind.value for kind, hit in zip(_SINGLE_KINDS, matches[:, index]) if hit]
         labels[track] = hits[0] if hits else "unknown"
     return labels
 
@@ -1022,10 +1022,9 @@ def random_layer(
         gates.append(CnotGate(control=order[2 * k], target=order[2 * k + 1]))
     single_tracks = sorted(order[2 * num_cnots :])
     if single_tracks:
-        kinds = (GateKind.IDENTITY, GateKind.HADAMARD, GateKind.T, GateKind.S)
         while True:
-            draws = gen.integers(0, len(kinds), size=len(single_tracks))
-            chosen = [kinds[int(d)] for d in draws]
+            draws = gen.integers(0, len(_SINGLE_KINDS), size=len(single_tracks))
+            chosen = [_SINGLE_KINDS[int(d)] for d in draws]
             if any(kind in (GateKind.T, GateKind.S) for kind in chosen):
                 break
         for track, kind in zip(single_tracks, chosen):

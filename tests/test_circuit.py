@@ -26,6 +26,20 @@ def _random_basis(rng: np.random.Generator) -> QubitBasis:
     return QubitBasis(alpha=complex(z[0]), beta=complex(z[1]))
 
 
+def _rows(kets) -> np.ndarray:
+    """Bloch rows (1, 2 Re a*b, 2 Im a*b, |a|^2 - |b|^2) of unit kets (a, b)."""
+    a, b = np.array(kets, dtype=np.complex128).T
+    cross = a.conj() * b
+    return np.stack([np.ones(len(a)), 2 * cross.real, 2 * cross.imag, abs(a) ** 2 - abs(b) ** 2], 1)
+
+
+def _bloch(rho) -> np.ndarray:
+    """Bloch row (tr rho, 2 Re rho_10, 2 Im rho_10, rho_00 - rho_11) of a 2x2 rho."""
+    return np.array(
+        [np.trace(rho).real, 2 * rho[1, 0].real, 2 * rho[1, 0].imag, (rho[0, 0] - rho[1, 1]).real]
+    )
+
+
 def test_standard_gate_matrices_are_unitary_and_satisfy_identities():
     for kind in GateKind:
         u = standard_gate_matrix(kind)
@@ -125,20 +139,20 @@ def test_run_layer_with_inputs_matches_direct_matrix_computation():
     for _ in range(3):
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         kets.append(v / np.linalg.norm(v))
-    outs = run_layer_with_inputs(layer, kets)
+    outs = run_layer_with_inputs(layer, _rows(kets))
 
     s = gate_matrix(GateKind.S, basis)
     expected1 = np.outer(s @ kets[1], (s @ kets[1]).conj())
-    np.testing.assert_allclose(outs[1], expected1, atol=1e-12)
+    np.testing.assert_allclose(outs[1], _bloch(expected1), atol=1e-12)
 
     cn = gate_matrix(GateKind.CNOT, basis)
     joint = cn @ np.kron(kets[0], kets[2])
     joint_rho = np.outer(joint, joint.conj()).reshape(2, 2, 2, 2)
     np.testing.assert_allclose(
-        outs[0], np.einsum("ikjk->ij", joint_rho), atol=1e-12
+        outs[0], _bloch(np.einsum("ikjk->ij", joint_rho)), atol=1e-12
     )
     np.testing.assert_allclose(
-        outs[2], np.einsum("kikj->ij", joint_rho), atol=1e-12
+        outs[2], _bloch(np.einsum("kikj->ij", joint_rho)), atol=1e-12
     )
 
 
@@ -153,11 +167,11 @@ def test_run_layer_with_inputs_ignores_noise_knobs():
     clean = CircuitLayer(
         num_tracks=2, hidden_basis=basis, gates=noisy.gates, noise=(0.0, 0.0)
     )
-    kets = [basis.plus_ket(), basis.minus_ket()]
-    for a, b in zip(run_layer_with_inputs(noisy, kets), run_layer_with_inputs(clean, kets)):
+    rows = _rows([basis.plus_ket(), basis.minus_ket()])
+    for a, b in zip(run_layer_with_inputs(noisy, rows), run_layer_with_inputs(clean, rows)):
         np.testing.assert_allclose(a, b, atol=1e-15)
-    with pytest.raises(ValueError, match="kets"):
-        run_layer_with_inputs(clean, [basis.plus_ket()])
+    with pytest.raises(ValueError, match="inputs"):
+        run_layer_with_inputs(clean, _rows([basis.plus_ket()]))
 
 
 def _per_track_outputs(layer, kets, noise):
@@ -215,56 +229,79 @@ def test_run_layer_with_inputs_is_exact_per_track_and_per_subset():
     shared = [distinct[0]] * n
     copies = [distinct[0].copy() for _ in range(n)]
     subsets = [[4], [3, 0], [7, 2, 2, 8], list(range(n))[::-1], []]
-    # One stacked (n, 2) array is accepted in place of a sequence of kets.
-    for kets in (distinct, pairing, shared, copies, np.array(distinct)):
-        full = run_layer_with_inputs(layer, kets)
-        expected = _per_track_outputs(layer, kets, (0.0, 0.0))
-        assert full.shape == (n, 2, 2) and not full.flags.writeable
+    for kets in (distinct, pairing, shared, copies):
+        full = run_layer_with_inputs(layer, _rows(kets))
+        expected = [_bloch(rho) for rho in _per_track_outputs(layer, kets, (0.0, 0.0))]
+        assert full.shape == (n, 4) and not full.flags.writeable
         assert np.max(np.abs(full - np.array(expected))) <= 1e-15
         for subset in subsets:
-            part = run_layer_with_inputs(layer, kets, tracks=subset)
-            assert part.shape == (len(subset), 2, 2)
+            part = run_layer_with_inputs(layer, _rows(kets), tracks=subset)
+            assert part.shape == (len(subset), 4)
             np.testing.assert_array_equal(part, full[subset])
+    # Nested lists are accepted in place of an array.
     np.testing.assert_array_equal(
-        run_layer_with_inputs(layer, shared), run_layer_with_inputs(layer, copies)
+        run_layer_with_inputs(layer, _rows(shared).tolist()),
+        run_layer_with_inputs(layer, _rows(copies)),
     )
     # Tracks of one role fed the same input get bit-identical outputs.
-    full = run_layer_with_inputs(layer, shared)
+    full = run_layer_with_inputs(layer, _rows(shared))
     np.testing.assert_array_equal(full[2], full[9])
     np.testing.assert_array_equal(full[5], full[7])
     np.testing.assert_array_equal(full[0], full[8])
     np.testing.assert_array_equal(full[3], full[1])
     assert not np.array_equal(full[0], full[3])
 
-    bad = list(pairing)
-    bad[5] = np.array([1.0, 1.0])
-    with pytest.raises(ValueError, match="kets\\[5\\]"):
+    bad = _rows(pairing)
+    bad[5] = [1.0, 1.0, 1.0, 0.0]
+    with pytest.raises(ValueError, match="inputs\\[5\\]"):
         run_layer_with_inputs(layer, bad, tracks=[0])
     with pytest.raises(ValueError, match="tracks"):
-        run_layer_with_inputs(layer, pairing, tracks=[n])
+        run_layer_with_inputs(layer, _rows(pairing), tracks=[n])
 
 
-def test_run_layer_with_inputs_rejects_wrong_length_kets_and_float_tracks():
-    # A unit ket of the wrong length used to be accepted: a CNOT pair fed
-    # four and one amplitudes returned two 2x2 outputs, and a lone
-    # three-amplitude ket died in a matmul error naming no input.
+def test_run_layer_with_inputs_rejects_bad_rows_and_float_tracks():
     basis = QubitBasis.computational()
     pair = CircuitLayer(num_tracks=2, hidden_basis=basis, gates=(CnotGate(0, 1),))
-    with pytest.raises(ValueError, match="kets\\[0\\]"):
-        run_layer_with_inputs(pair, [np.full(4, 0.5), np.array([1.0])])
-    with pytest.raises(ValueError, match="kets\\[1\\]"):
-        run_layer_with_inputs(pair, [basis.plus_ket(), np.array([1.0])])
-    lone = CircuitLayer(num_tracks=1, hidden_basis=basis)
-    with pytest.raises(ValueError, match="kets\\[0\\]"):
-        run_layer_with_inputs(lone, [np.array([0.6, 0.8, 0.0])])
-    with pytest.raises(ValueError, match="kets\\[1\\]"):
-        run_layer_with_inputs(pair, [basis.plus_ket(), np.array([[0.6, 0.8]])])
+    rows = _rows([basis.plus_ket(), basis.minus_ket()])
+    # Wrong shape, ragged, complex or non-numeric inputs, and kets.
+    shapes = (
+        rows[:1],
+        np.vstack([rows, rows[:1]]),
+        rows[:, :3],
+        [[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0]],
+        rows + 0j,
+        rows.astype(str),
+        [basis.plus_ket(), basis.minus_ket()],
+    )
+    for inputs in shapes:
+        with pytest.raises(ValueError, match="^inputs: expected a real \\(2, 4\\) array"):
+            run_layer_with_inputs(pair, inputs)
+    # Each row is finite, starts with exactly 1 and lies in the Bloch ball;
+    # an overflowing length fails without a warning.
+    cases = (
+        (1, [1.0, np.nan, 0.0, 0.0]),
+        (0, [1.0, 0.0, np.inf, 0.0]),
+        (1, [np.nan, 0.0, 0.0, 1.0]),
+        (1, [1.0 + 1e-15, 0.0, 0.0, 1.0]),
+        (0, [0.5, 0.0, 0.0, 0.5]),
+        (1, [1.0, 0.8, 0.0, 0.8]),
+        (0, [1.0, 0.0, 0.0, -1.0 - 2e-12]),
+        (1, [1.0, 1e200, 0.0, 0.0]),
+    )
+    for track, row in cases:
+        bad = rows.copy()
+        bad[track] = row
+        with pytest.raises(ValueError, match=f"^inputs\\[{track}\\]: expected a finite Bloch row"):
+            run_layer_with_inputs(pair, bad)
+    # Rounding slack on the ball, integer rows and a mixed state are fine.
+    edge = np.array([[1.0, 0.0, 0.0, 1.0 + 1e-13], [1.0, 0.0, 0.0, 0.0]])
+    assert run_layer_with_inputs(pair, edge).shape == (2, 4)
+    assert run_layer_with_inputs(pair, [[1, 0, 0, 1], [1, 1, 0, 0]]).shape == (2, 4)
     # Array indexing would truncate a float track to an integer one.
-    kets = [basis.plus_ket()] * 2
     for tracks in ([0.0], [1, 0.5], [True]):
         with pytest.raises(ValueError, match="tracks\\["):
-            run_layer_with_inputs(pair, kets, tracks=tracks)
-    assert run_layer_with_inputs(pair, kets, tracks=[np.int64(1)]).shape == (1, 2, 2)
+            run_layer_with_inputs(pair, rows, tracks=tracks)
+    assert run_layer_with_inputs(pair, rows, tracks=[np.int64(1)]).shape == (1, 4)
 
 
 def _trial_ket(basis, u):
@@ -315,14 +352,15 @@ def test_trial_engine_values_equal_the_exact_per_track_outputs(noise):
         )
 
 
-def test_layer_gate_matrices_are_built_once_and_read_only():
+def test_layer_transfer_is_built_once_and_read_only():
     rng = np.random.default_rng(69)
     layer = _role_layer(_random_basis(rng))
-    mats = layer.gate_matrices
-    assert mats is layer.gate_matrices
-    for kind in GateKind:
-        np.testing.assert_array_equal(mats[kind], gate_matrix(kind, layer.hidden_basis))
-        assert not mats[kind].flags.writeable
+    transfer = layer.transfer
+    assert transfer is layer.transfer
+    for arr in (transfer.tensors, transfer.role, transfer.partner):
+        assert not arr.flags.writeable
+    assert len(transfer.roles) == len(set(transfer.roles)) == 6
+    assert transfer.partner.tolist() == [3, 8, 2, 0, 4, 5, 6, 7, 1, 9]
     assert layer.track_roles[0] == (GateKind.CNOT, 0, (0, 3))
     assert layer.track_roles[3] == (GateKind.CNOT, 1, (0, 3))
     assert layer.track_roles[7] == (GateKind.IDENTITY, None, None)

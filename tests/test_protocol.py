@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from texlab.protocol import (
     TrackStats,
     _block_grams,
     _gauge_partner,
-    _product_test_min_fidelity,
+    _polish_candidate,
     _role_forms,
     _trial_features,
     _trial_probabilities,
@@ -66,6 +67,32 @@ def _random_basis(rng: np.random.Generator) -> QubitBasis:
     z = rng.normal(size=2) + 1j * rng.normal(size=2)
     z = z / np.linalg.norm(z)
     return QubitBasis(alpha=complex(z[0]), beta=complex(z[1]))
+
+
+def _rows(kets) -> np.ndarray:
+    """Bloch rows (1, 2 Re a*b, 2 Im a*b, |a|^2 - |b|^2) of unit kets (a, b)."""
+    a, b = np.array(kets, dtype=np.complex128).T
+    cross = a.conj() * b
+    return np.stack([np.ones(len(a)), 2 * cross.real, 2 * cross.imag, abs(a) ** 2 - abs(b) ** 2], 1)
+
+
+def _bloch(rho) -> np.ndarray:
+    """Bloch row (tr rho, 2 Re rho_10, 2 Im rho_10, rho_00 - rho_11) of a 2x2 rho."""
+    return np.array(
+        [np.trace(rho).real, 2 * rho[1, 0].real, 2 * rho[1, 0].imag, (rho[0, 0] - rho[1, 1]).real]
+    )
+
+
+def _density(row) -> np.ndarray:
+    """Density matrix (sum_a r_a sigma_a) / 2 of a Bloch row r."""
+    x, y, z = row[1:]
+    return np.array([[row[0] + z, x - 1j * y], [x + 1j * y, row[0] - z]]) / 2.0
+
+
+def _ket_simulator(layer, kets, tracks=None):
+    """``run_layer_with_inputs`` between kets and 2x2 outputs: the adapter
+    through which the former ket-based probe stages reach the simulator."""
+    return [_density(row) for row in run_layer_with_inputs(layer, _rows(kets), tracks=tracks)]
 
 
 def _phase_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -138,14 +165,10 @@ def test_expected_averages_match_quadrature_oracle():
             psi = math.cos(theta / 2.0) * basis.plus_ket() + cmath.exp(
                 1j * phi
             ) * math.sin(theta / 2.0) * basis.minus_ket()
-            control, target = run_layer_with_inputs(layer, [psi, psi])
+            # Grand sums 1 + x (computational) and 1 + z (Fourier).
+            control, target = run_layer_with_inputs(layer, _rows([psi, psi]))
             acc += (w / 2.0 / 32.0) * np.array(
-                [
-                    control.sum().real,
-                    target.sum().real,
-                    2.0 * control[0, 0].real,
-                    2.0 * target[0, 0].real,
-                ]
+                [1.0 + control[1], 1.0 + target[1], 1.0 + control[3], 1.0 + target[3]]
             )
     np.testing.assert_allclose(acc, expected_averages(basis), atol=1e-9)
 
@@ -385,7 +408,7 @@ def _every_kind_layer(seed, min_component, noise):
 
 def _reference_values(layer, psi):
     """Per track, the oracle's per-trial (computational, Fourier) sums."""
-    mats = layer.gate_matrices
+    mats = {kind: gate_matrix(kind, layer.hidden_basis) for kind in GateKind}
     p, q = layer.noise
     out = []
     for kind, side, _pair in layer.track_roles:
@@ -670,15 +693,16 @@ def test_disambiguate_error_paths():
 
 
 def _polish_candidate_reference(layer, basis, probe_tracks, required_tracks):
-    # The former polish, which tried every probe track, kept verbatim as an
-    # exact oracle.
+    # The former polish, which tried every probe track and iterated on kets
+    # through the principal eigenvector, kept as an oracle behind the
+    # ket adapter.
     n = layer.num_tracks
     for probe in probe_tracks:
         v = basis.plus_ket()
         v0 = v.copy()
         converged = False
         for _ in range(60):
-            rho = run_layer_with_inputs(layer, [v] * n, tracks=[probe])[0]
+            rho = _ket_simulator(layer, [v] * n, tracks=[probe])[0]
             w = principal_eigenvector(rho)
             overlap = np.vdot(v, w)
             if abs(overlap) > 1e-12:
@@ -692,16 +716,27 @@ def _polish_candidate_reference(layer, basis, probe_tracks, required_tracks):
             continue
         if abs(np.vdot(v0, v)) ** 2 < BASIN_MIN_OVERLAP:
             continue
-        if _product_test_min_fidelity(layer, v, required_tracks) >= PASS_FIDELITY:
+        outs = _ket_simulator(layer, [v] * n, tracks=required_tracks)
+        if min(np.vdot(v, rho @ v).real for rho in outs) >= PASS_FIDELITY:
+            return v
+    return None
+
+
+def _every_track_polish(layer, basis, probe_tracks, required_tracks):
+    # The polish run on each probe track in turn, with no role skip.
+    for probe in probe_tracks:
+        v = _polish_candidate(layer, basis, [probe], required_tracks)
+        if v is not None:
             return v
     return None
 
 
 def test_disambiguate_matches_the_every_track_polish_bit_for_bit(monkeypatch):
-    # Polish tries one probe track per role; the reference tries them all.
-    # Layers carry up to five CNOT pairs, and a random share of their
-    # single-qubit tracks is passed as ambiguous, so roles repeat among the
-    # probe tracks on most layers.
+    # Polish tries one probe track per role; the every-track polish tries
+    # them all, bit for bit, and the former ket polish reaches the same rays
+    # to rounding. Layers carry up to five CNOT pairs, and a random share of
+    # their single-qubit tracks is passed as ambiguous, so roles repeat
+    # among the probe tracks on most layers.
     rng = np.random.default_rng(89)
     repeated_roles = 0
     survivors_seen = 0
@@ -726,14 +761,42 @@ def test_disambiguate_matches_the_every_track_polish_bit_for_bit(monkeypatch):
         ]
         got = disambiguate(layer, candidates, cnot_tracks, ambiguous)
         with monkeypatch.context() as m:
-            m.setattr(protocol, "_polish_candidate", _polish_candidate_reference)
+            m.setattr(protocol, "_polish_candidate", _every_track_polish)
             want = disambiguate(layer, candidates, cnot_tracks, ambiguous)
+            m.setattr(protocol, "_polish_candidate", _polish_candidate_reference)
+            former = disambiguate(layer, candidates, cnot_tracks, ambiguous)
         assert [(c.basis.alpha, c.basis.beta) for c in got] == [
             (c.basis.alpha, c.basis.beta) for c in want
         ], seed
+        assert len(former) == len(got), seed
+        for a, b in zip(got, former):
+            assert _phase_distance(a.basis.plus_ket(), b.basis.plus_ket()) <= 1e-14, seed
         survivors_seen += len(want)
     assert repeated_roles >= 60
     assert survivors_seen >= 120
+
+
+def test_polish_gives_up_without_a_warning_on_a_maximally_mixed_output(monkeypatch):
+    # The control of a CNOT fed (|+>+i|->)/sqrt(2) of its own frame on both
+    # tracks ends maximally mixed: its output has no Bloch direction, so the
+    # iteration stops after one probe run instead of dividing by zero.
+    basis = QubitBasis.computational()
+    layer = CircuitLayer(num_tracks=3, hidden_basis=basis, gates=(CnotGate(2, 0),))
+    cand = QubitBasis.from_plus_ket((basis.plus_ket() + 1j * basis.minus_ket()) * SQ2)
+    runs = []
+    simulate = protocol.run_layer_with_inputs
+
+    def counted(*args, **kwargs):
+        out = simulate(*args, **kwargs)
+        runs.append(out)
+        return out
+
+    monkeypatch.setattr(protocol, "run_layer_with_inputs", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _polish_candidate(layer, cand, [2], [2, 0]) is None
+    assert len(runs) == 1
+    np.testing.assert_array_equal(runs[0], [[1.0, 0.0, 0.0, 0.0]])
 
 
 def test_pairing_probe_finds_pairs_in_any_probe_order():
@@ -780,7 +843,7 @@ def test_pairing_probe_is_unchanged_when_outputs_are_not_shared(monkeypatch):
     monkeypatch.setattr(
         protocol,
         "run_layer_with_inputs",
-        lambda *a, **k: [rho.copy() for rho in shared(*a, **k)],
+        lambda *a, **k: [row.copy() for row in shared(*a, **k)],
     )
     for layer, basis, expected in cases:
         assert outcome(layer, basis) == expected
@@ -793,6 +856,30 @@ def test_pairing_probe_rejects_tracks_outside_the_layer(tracks):
     layer = random_layer(num_tracks=4, num_cnots=1, seed=3, min_component=0.15)
     with pytest.raises(ValueError, match="candidate_tracks"):
         pairing_probe(layer, layer.hidden_basis, tracks)
+
+
+def test_probe_stages_reject_non_integer_and_outside_tracks():
+    # A float track used to end in numpy's IndexError, and True was probed
+    # as track 1 but reported as "track True".
+    layer = random_layer(num_tracks=4, num_cnots=1, seed=3, min_component=0.15)
+    basis = layer.hidden_basis
+    with pytest.raises(ValueError, match=r"^candidate_tracks\[0\]: expected an integer"):
+        pairing_probe(layer, basis, [1.5, 0])
+    with pytest.raises(ValueError, match=r"^candidate_tracks\[0\]: expected an integer"):
+        pairing_probe(layer, basis, [True, 2])
+    cands = recover_basis(expected_averages(basis))
+    cnot_tracks = list(layer.cnot_pairs()[0])
+    cases = (
+        (([0.0, 1], ()), r"^cnot_tracks\[0\]: expected an integer"),
+        (([0, np.float64(1)], ()), r"^cnot_tracks\[1\]: expected an integer"),
+        ((cnot_tracks, [1.5]), r"^ambiguous_tracks\[0\]: expected an integer"),
+        (([0, 4], ()), r"^cnot_tracks: \[4\] out of range"),
+        ((cnot_tracks, [-1]), r"^ambiguous_tracks: \[-1\] out of range"),
+    )
+    for (cnot, ambiguous), message in cases:
+        with pytest.raises(ValueError, match=message):
+            disambiguate(layer, cands, cnot, ambiguous)
+    assert disambiguate(layer, cands, [np.int64(t) for t in cnot_tracks])
 
 
 def test_classify_single_qubit_gates_identifies_dictionary():
@@ -827,7 +914,8 @@ def test_classify_single_qubit_gates_flags_wrong_basis_as_unknown():
 
 def _classify_single_qubit_gates_reference(layer, basis, tracks):
     # The former classifier, which rebuilt each track's unitary from its
-    # probe outputs before matching it, kept verbatim as an exact oracle.
+    # probe outputs before matching it, kept as an exact oracle behind the
+    # ket adapter.
     plus = basis.plus_ket()
     minus = basis.minus_ket()
     probes = [
@@ -838,7 +926,7 @@ def _classify_single_qubit_gates_reference(layer, basis, tracks):
     ]
     n = layer.num_tracks
     tracks = list(tracks)
-    outputs = [run_layer_with_inputs(layer, [p] * n, tracks=tracks) for p in probes]
+    outputs = [_ket_simulator(layer, [p] * n, tracks=tracks) for p in probes]
     b_matrix = basis.matrix()
     labels: dict[int, str] = {}
     for index, track in enumerate(tracks):
@@ -1272,22 +1360,21 @@ def test_seeded_sweep_never_raises_or_claims_a_wrong_full():
 
 
 #: SHA-256 of the canonical report bytes of fixed layers. The digests of
-#: every clean layer were last recorded when the engine forms and the probe
-#: outputs moved to per-role Pauli transfer tensors, which changed the
-#: exact-mode statistics' and the selected bases' last bits. The shot-mode
-#: statistics kept their bytes (no binomial draw moved), so the noisy
+#: every clean layer were last recorded when the probe stages moved to
+#: Bloch rows, which changed the candidate and selected bases' last bits
+#: (at most 3.3e-16); the track statistics kept their bytes. The noisy
 #: layer, which stops after detection, kept its digest. A change that moves
 #: any of these bytes must record why, and the old and new digests.
 PINNED_REPORTS = {
     "narrow": (
         dict(num_tracks=6, num_cnots=2, seed=31, min_component=0.15),
         dict(seed=41, trials=100_000),
-        "fa2b96e38f3de458b1fcd6aae1dbf99e104dcc0eea4086d5757087f797021991",
+        "dddb62dbc6bc1044026cf1920b6309bcbebd5c35e827fc1ec7191be0706175cf",
     ),
     "48-tracks": (
         dict(num_tracks=48, num_cnots=6, seed=32, min_component=0.15),
         dict(seed=42, trials=50_000),
-        "e8797f2947ebf683f40279adfb4facab538cb1e5b36afd6ac07406fe971c5e1e",
+        "ebd5f1a18f8027fcf855ca5efcf9a2a015be814ec217a03362b1784bab862e4f",
     ),
     "noisy-shots": (
         dict(num_tracks=16, num_cnots=2, seed=33, min_component=0.15, noise=(0.05, 0.1)),
@@ -1297,7 +1384,7 @@ PINNED_REPORTS = {
     "clean-shots": (
         dict(num_tracks=8, num_cnots=2, seed=34, min_component=0.2),
         dict(seed=44, trials=100_000, shots=1000),
-        "8d606dbdb0faaff5f944dd4ab0e16db7f6a9f8309a9b56e480c6b7e1be1b300e",
+        "1749bef60b535a6ece2b0c4cd75564d55b3c6ab3151050df6bc525189fdd283b",
     ),
 }
 
@@ -1312,7 +1399,8 @@ def test_report_bytes_are_pinned(name):
 
 # ---------------------------------------------------------------------------
 # the former layer kernels, kept verbatim as exact oracles of the transfer
-# tensors (the partial trace they called is inlined as its einsum)
+# tensors (the partial trace they called is inlined as its einsum, and the
+# layer's gate matrices are built by ``gate_matrix``)
 
 _PAULI_REFERENCE = np.array(
     [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
@@ -1324,7 +1412,7 @@ def _role_forms_reference(layer, roles):
     # The former engine forms: each role's unitary expanded into grand-sum
     # forms by ``_grand_sum_forms_reference``.
     p, q = layer.noise
-    mats = layer.gate_matrices
+    mats = {kind: gate_matrix(kind, layer.hidden_basis) for kind in GateKind}
     b = layer.hidden_basis.matrix()
     forms = []
     for kind, side in roles:
@@ -1371,7 +1459,7 @@ def _run_layer_with_inputs_reference(layer, kets, tracks=None):
     bad = [t for t in tracks if not 0 <= t < layer.num_tracks]
     if bad:
         raise ValueError(f"tracks: {bad} out of range for {layer.num_tracks} tracks")
-    mats = layer.gate_matrices
+    mats = {kind: gate_matrix(kind, layer.hidden_basis) for kind in GateKind}
     roles = layer.track_roles
     states = {}
     outputs = []
@@ -1398,9 +1486,22 @@ def _run_layer_with_inputs_reference(layer, kets, tracks=None):
     return outputs
 
 
+def _former_simulator(layer, inputs, tracks=None):
+    # The former simulator behind the Bloch-row interface: each distinct
+    # pure input row becomes one ket object, so the former id() sharing
+    # still applies, and each 2x2 output becomes its Bloch row.
+    kets = {}
+    for row in np.asarray(inputs):
+        kets.setdefault(row.tobytes(), principal_eigenvector(_density(row)))
+    outputs = _run_layer_with_inputs_reference(
+        layer, [kets[row.tobytes()] for row in np.asarray(inputs)], tracks=tracks
+    )
+    return np.array([_bloch(rho) for rho in outputs]).reshape(-1, 4)
+
+
 def _former_kernels(m):
     m.setattr(protocol, "_role_forms", _role_forms_reference)
-    m.setattr(protocol, "run_layer_with_inputs", _run_layer_with_inputs_reference)
+    m.setattr(protocol, "run_layer_with_inputs", _former_simulator)
 
 
 def test_role_forms_match_the_former_grand_sum_forms():
@@ -1432,19 +1533,22 @@ def test_probe_outputs_match_the_former_simulator():
         subset = list(rng.permutation(n)[: 1 + seed % n])
         for kets in (distinct, pairing, [distinct[0]] * n):
             for tracks in (None, subset):
-                got = run_layer_with_inputs(layer, kets, tracks=tracks)
-                want = np.array(_run_layer_with_inputs_reference(layer, kets, tracks=tracks))
+                got = run_layer_with_inputs(layer, _rows(kets), tracks=tracks)
+                want = _run_layer_with_inputs_reference(layer, kets, tracks=tracks)
+                want = np.array([_bloch(rho) for rho in want])
                 assert got.shape == want.shape
                 assert np.max(np.abs(got - want)) <= 1e-15, seed
+                via_rows = _former_simulator(layer, _rows(kets), tracks=tracks)
+                assert np.max(np.abs(got - via_rows)) <= 1e-15, seed
 
 
-#: Report digests of the kernels before the transfer tensors, which the
-#: former kernels must still reproduce: only the kernels moved the bytes.
+#: Report digests of the former kernels (simulator and engine forms) under
+#: today's probe stages; they move only with the stages.
 _FORMER_KERNEL_DIGESTS = {
-    "narrow": "8011f6823ff37867ce7ebd20e1a78011e54163a54acb4ee5327d1dc083ae8509",
-    "48-tracks": "395cf8c44441e690c3f9180451e17f80c81acfcb32f119e3c06d0b3deb5156fb",
+    "narrow": "ae869a6e7a2816fd54a204397d95c2d80ac51215b1ef88eb3a274fdaffb5ecc4",
+    "48-tracks": "4ea7f77b1b85aac61a229c44c61735f9429127d00d2b22419297cb8bfc08d77e",
     "noisy-shots": "2383e607e894623071337d539d6b1a02707607f21eb5e82f88bb311bb1f6e142",
-    "clean-shots": "025300ce5b01f59e2dcc4d8587262aeb6f9defbbcbbcfb03becc918f01267010",
+    "clean-shots": "11142d3285ebb3463be6c7de4f99e349fff08cfe5235972f6a741f9464f239a1",
 }
 
 
