@@ -261,7 +261,7 @@ def run_layer_with_inputs(layer: CircuitLayer, inputs, tracks=None) -> np.ndarra
     if tracks is None:
         tracks = np.arange(layer.num_tracks)
     else:
-        tracks = np.array(_check_tracks(tracks, layer.num_tracks, name="tracks"), dtype=np.intp)
+        tracks = _check_tracks(tracks, layer.num_tracks, name="tracks")
     transfer = layer.transfer
     joint = rows[tracks, :, None] * rows[transfer.partner[tracks], None, :]
     tensors = transfer.tensors[transfer.role[tracks]].reshape(-1, 4, 16)
@@ -270,16 +270,28 @@ def run_layer_with_inputs(layer: CircuitLayer, inputs, tracks=None) -> np.ndarra
     return out
 
 
-def _check_tracks(tracks, num_tracks: int, *, name: str) -> list:
-    """``tracks`` as a list, each entry an integer track of the layer; the
-    ValueError for a bad entry names ``name``."""
-    tracks = list(tracks)
-    for i, t in enumerate(tracks):
-        require_integer(t, name=f"{name}[{i}]")
-    bad = [int(t) for t in tracks if not 0 <= t < num_tracks]
+def _check_tracks(tracks, num_tracks: int, *, name: str) -> np.ndarray:
+    """``tracks`` as a 1-D ``np.intp`` array, each entry an integer track of
+    the layer; the ValueError for a bad entry names ``name``.
+
+    An ndarray must be 1-D of an integer dtype and is range-checked in one
+    pass; any other iterable is checked entry by entry, so a bool or float
+    entry is refused by its index.
+    """
+    if isinstance(tracks, np.ndarray):
+        if tracks.ndim != 1 or tracks.dtype.kind not in "iu":
+            raise ValueError(
+                f"{name}: expected a 1-D integer array, got shape {tracks.shape} of {tracks.dtype}"
+            )
+        bad = tracks[(tracks < 0) | (tracks >= num_tracks)].tolist()
+    else:
+        tracks = list(tracks)
+        for i, t in enumerate(tracks):
+            require_integer(t, name=f"{name}[{i}]")
+        bad = [int(t) for t in tracks if not 0 <= t < num_tracks]
     if bad:
         raise ValueError(f"{name}: {bad} out of range for {num_tracks} tracks")
-    return tracks
+    return np.asarray(tracks, dtype=np.intp)
 
 
 def _input_rows(inputs, num_tracks: int) -> np.ndarray:

@@ -85,8 +85,10 @@ _SHOT_TAG = 0x53484F54
 #: calls and take a core from everything else that runs.
 _BLOCK = 512
 
-#: Gram blocks whose features one pass of the trial engine builds.
-_CHUNK_BLOCKS = 64
+#: Gram blocks whose features one pass of the trial engine builds: 8192
+#: trials, 0.65 MB of features. It bounds the engine's working memory only;
+#: no result depends on it.
+_CHUNK_BLOCKS = 16
 
 #: Bloch rows reading a qubit's (computational, Fourier) grand sums, 1 + x and 1 + z.
 _READOUT = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0]])
@@ -254,14 +256,19 @@ def run_protocol(
         ]
     probs = _trial_probabilities(forms, seed, trials)
     shot_gen = _shot_generator(seed)
+    # One row of draws at a time, in (track, basis, trial) order, scaled to
+    # 2 k / shots in one reused buffer.
+    estimate = np.empty(trials)
     stats = []
     for track, row in enumerate(rows):
-        draws = 2.0 * shot_gen.binomial(shots, probs[row : row + 2]) / shots
-        means = [float(np.mean(d)) for d in draws]
-        stderr = [
-            float(np.std(d, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-            for d in draws
-        ]
+        means, stderr = [], []
+        for p in probs[row : row + 2]:
+            np.multiply(shot_gen.binomial(shots, p), 2.0, out=estimate)
+            estimate /= shots
+            means.append(float(np.mean(estimate)))
+            stderr.append(
+                float(np.std(estimate, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+            )
         stats.append(TrackStats(track, *means, *stderr, trials=trials))
     return stats
 
@@ -327,11 +334,12 @@ def _trial_probabilities(forms: np.ndarray, seed: int, trials: int) -> np.ndarra
     clip(w . f / 2, 0, 1) of every form w."""
     half = forms / 2.0
     probs = np.empty((len(forms), -(-trials // _BLOCK) * _BLOCK))
+    # Block b's (forms, _BLOCK) product is written straight into its columns.
+    by_block = probs.reshape(len(forms), -1, _BLOCK).transpose(1, 0, 2)
     start = 0
     for feats in _trial_features(seed, trials):
-        stop = start + feats.shape[0] * _BLOCK
-        probs[:, start:stop] = np.matmul(half, feats).transpose(1, 0, 2).reshape(len(forms), -1)
-        start = stop
+        np.matmul(half, feats, out=by_block[start : start + len(feats)])
+        start += len(feats)
     probs = probs[:, :trials]
     return np.clip(probs, 0.0, 1.0, out=probs)
 
@@ -363,10 +371,10 @@ def _frame(basis: QubitBasis) -> np.ndarray:
     return pauli_transfer(basis.matrix())[:, :, 0]
 
 
-def _probe_rows(basis: QubitBasis) -> np.ndarray:
-    """Computational Bloch rows of the ``_PROBES`` states of ``basis``: the
-    frame's columns f0 + f3, f0 - f3, f0 + f1 and f0 + f2."""
-    rows = _PROBES @ _frame(basis).T
+def _probe_rows(frame: np.ndarray) -> np.ndarray:
+    """Computational Bloch rows of the ``_PROBES`` states of the basis whose
+    ``_frame`` is ``frame``: its columns f0 + f3, f0 - f3, f0 + f1 and f0 + f2."""
+    rows = _PROBES @ frame.T
     rows[:, 0] = 1.0  # f0 is (1, 0, 0, 0) up to rounding
     return rows
 
@@ -587,7 +595,7 @@ def _polish_candidate(
     input, so it would repeat the trajectory and both checks bit for bit.
     """
     n = layer.num_tracks
-    start = _probe_rows(basis)[0]
+    start = _probe_rows(_frame(basis))[0]
     tried: set[int] = set()
     for probe in probe_tracks:
         role = int(layer.transfer.role[probe])
@@ -632,10 +640,11 @@ def disambiguate(
     if not candidates:
         raise IdentificationError("no candidate bases were supplied")
     cnot_tracks = _check_tracks(cnot_tracks, layer.num_tracks, name="cnot_tracks")
-    if not cnot_tracks:
+    if not len(cnot_tracks):
         raise IdentificationError("no detected CNOT tracks to probe against")
     ambiguous_tracks = _check_tracks(ambiguous_tracks, layer.num_tracks, name="ambiguous_tracks")
-    probe_tracks = cnot_tracks + [t for t in ambiguous_tracks if t not in cnot_tracks]
+    cnot = cnot_tracks.tolist()
+    probe_tracks = cnot + [t for t in ambiguous_tracks.tolist() if t not in cnot]
     passing: list[CandidateBasis] = []
     for cand in candidates:
         v = _polish_candidate(layer, cand.basis, probe_tracks, cnot_tracks)
@@ -660,9 +669,10 @@ def pairing_probe(
     are candidate tracks shown not to be CNOT members. Raises ValueError for
     a candidate track that is not an integer track of the layer.
     """
-    plus, minus = _probe_rows(basis)[:2]
+    plus, minus = _probe_rows(_frame(basis))[:2]
     n = layer.num_tracks
-    order = list(dict.fromkeys(_check_tracks(candidate_tracks, n, name="candidate_tracks")))
+    tracks = _check_tracks(candidate_tracks, n, name="candidate_tracks")
+    order = list(dict.fromkeys(tracks.tolist()))
     taken: set[int] = set()
     pairs: list[tuple[int, int]] = []
     for track in order:
@@ -714,13 +724,13 @@ def _pin_basis_phase(
         out = run_layer_with_inputs(layer, rows, tracks=[control])[0]
         return complex(out @ m_s - 1.0, 1.0 - out @ m_i) / 2.0
 
-    probes = _probe_rows(basis)
+    probes = _probe_rows(_frame(basis))
     cos_term = 2.0 * coherence(probes, probes[2]).real
     sin_term = 2.0 * coherence(probes, probes[3]).real
     gamma = 0.5 * math.atan2(sin_term, cos_term)
     phase = np.exp(-1j * gamma)
     pinned = QubitBasis(alpha=phase * basis.alpha, beta=phase * basis.beta)
-    probes = _probe_rows(pinned)
+    probes = _probe_rows(_frame(pinned))
     residual = abs(coherence(probes, probes[2]) - 0.5)
     if residual > 1e-9:
         raise IdentificationError(
@@ -743,18 +753,18 @@ def classify_single_qubit_gates(
     matching no gate, a mixed-output track among them, is labeled "unknown".
     """
     n = layer.num_tracks
-    tracks = list(tracks)
-    rows = _probe_rows(basis)
+    tracks = _check_tracks(tracks, n, name="tracks")
+    frame = _frame(basis)
+    rows = _probe_rows(frame)
     outs = np.array([run_layer_with_inputs(layer, np.tile(r, (n, 1)), tracks=tracks) for r in rows])
     # outs[probe, track] against predicted[gate, probe].
-    predicted = np.einsum("ab,gbc,pc->gpa", _frame(basis), _STANDARD_TRANSFER, _PROBES)
+    predicted = np.einsum("ab,gbc,pc->gpa", frame, _STANDARD_TRANSFER, _PROBES)
     distance = np.linalg.norm(outs - predicted[:, :, None], axis=-1) / math.sqrt(2.0)
     matches = (distance <= GATE_MATCH_ATOL).all(axis=1)
-    labels: dict[int, str] = {}
-    for index, track in enumerate(tracks):
-        hits = [kind.value for kind, hit in zip(_SINGLE_KINDS, matches[:, index]) if hit]
-        labels[track] = hits[0] if hits else "unknown"
-    return labels
+    # The first matching gate of each track, or "unknown" for none.
+    names = [kind.value for kind in _SINGLE_KINDS] + ["unknown"]
+    first = np.where(matches.any(axis=0), matches.argmax(axis=0), len(_SINGLE_KINDS))
+    return {track: names[g] for track, g in zip(tracks.tolist(), first.tolist())}
 
 
 # ---------------------------------------------------------------------------

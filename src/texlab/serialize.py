@@ -32,19 +32,20 @@ def complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+#: What ``json.dumps`` calls for a str.
+_quote = json.encoder.encode_basestring_ascii
+
+
 def _emit(obj: Any, parts: list[str]) -> None:
-    if obj is None:
-        parts.append("null")
-    elif isinstance(obj, bool):
-        parts.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(format_float(float(obj)))
-    elif isinstance(obj, (complex, np.complexfloating)):
-        _emit(complex_pair(complex(obj)), parts)
+    # The types a report holds come first, floats and ints by exact type (a
+    # bool is an int, a NumPy float a float); the rest follow.
+    kind = type(obj)
+    if kind is float:
+        parts.append(format_float(obj))
+    elif kind is int:
+        parts.append(str(obj))
     elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
+        parts.append(_quote(obj))
     elif isinstance(obj, dict):
         parts.append("{")
         for i, (key, value) in enumerate(obj.items()):
@@ -52,7 +53,7 @@ def _emit(obj: Any, parts: list[str]) -> None:
                 raise TypeError(f"object keys must be strings, got {key!r}")
             if i:
                 parts.append(", ")
-            parts.append(json.dumps(key))
+            parts.append(_quote(key))
             parts.append(": ")
             _emit(value, parts)
         parts.append("}")
@@ -63,6 +64,16 @@ def _emit(obj: Any, parts: list[str]) -> None:
                 parts.append(", ")
             _emit(item, parts)
         parts.append("]")
+    elif obj is None:
+        parts.append("null")
+    elif isinstance(obj, bool):
+        parts.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        parts.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        parts.append(format_float(float(obj)))
+    elif isinstance(obj, (complex, np.complexfloating)):
+        _emit(complex_pair(complex(obj)), parts)
     else:
         raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 

@@ -2,7 +2,8 @@
 and two-state reference bases.
 
 The Haar-random trial inputs of the identification protocol are drawn in
-``texlab.protocol``, directly as arrays of kets.
+``texlab.protocol`` as two uniforms per trial, turned into the monomials of
+the input's Bloch vector.
 """
 
 from __future__ import annotations

@@ -302,6 +302,25 @@ def test_run_layer_with_inputs_rejects_bad_rows_and_float_tracks():
         with pytest.raises(ValueError, match="tracks\\["):
             run_layer_with_inputs(pair, rows, tracks=tracks)
     assert run_layer_with_inputs(pair, rows, tracks=[np.int64(1)]).shape == (1, 4)
+    # An ndarray of tracks is checked in one pass: 1-D, of an integer dtype,
+    # every entry in range (a huge unsigned entry is not wrapped round).
+    not_1d_integer = (np.array([0.0]), np.array([True]), np.array([[0, 1]]), np.array([]))
+    for tracks in not_1d_integer:
+        with pytest.raises(ValueError, match="^tracks: expected a 1-D integer array"):
+            run_layer_with_inputs(pair, rows, tracks=tracks)
+    for tracks, bad in (
+        (np.array([1, -1]), "-1"),
+        (np.array([2, 0, 3], dtype=np.uint8), "2, 3"),
+        (np.array([2**64 - 1], dtype=np.uint64), str(2**64 - 1)),
+    ):
+        message = f"^tracks: \\[{bad}\\] out of range for 2 tracks$"
+        with pytest.raises(ValueError, match=message):
+            run_layer_with_inputs(pair, rows, tracks=tracks)
+    full = run_layer_with_inputs(pair, rows)
+    good = (np.array([1, 0], dtype=np.int32), np.array([1], dtype=np.uint64), np.array([], int))
+    for tracks in good:
+        part = run_layer_with_inputs(pair, rows, tracks=tracks)
+        np.testing.assert_array_equal(part, full[tracks])
 
 
 def _trial_ket(basis, u):

@@ -344,8 +344,9 @@ def test_layer_gen_validation_error(capsys):
 
 
 #: SHA-256 of the standard output of fixed commands. The inputs are the
-#: generic states below and a fixed ``layer-gen`` layer; moving the CSV or
-#: JSON writers must keep these bytes.
+#: generic states below and two fixed ``layer-gen`` layers, the second one
+#: noisy and identified with shots; moving the CSV or JSON writers or the
+#: trial engine must keep these bytes.
 CLI_OUTPUT_DIGESTS = {
     "texture-ket-csv": (
         ["texture", "--in", "ket.json", "--format", "csv"],
@@ -368,6 +369,11 @@ CLI_OUTPUT_DIGESTS = {
          "--format", "csv"],
         "702cf31ad4708538eeb71418e1e79113fa086ced41576932caf26c75b7be11f8",
     ),
+    "identify-noisy-shots": (
+        ["identify", "--in", "noisy.json", "--seed", "3", "--trials", "20000",
+         "--shots", "1000"],
+        "28e32b8a9a6008b2e8696c5ea61e66cc59a824f0db5d161e7e893b1cd882dba0",
+    ),
 }
 
 
@@ -382,6 +388,10 @@ def test_cli_output_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
     assert main(
         ["layer-gen", "--tracks", "4", "--cnots", "1", "--seed", "5",
          "--min-component", "0.2", "--out", "layer.json"]
+    ) == 0
+    assert main(
+        ["layer-gen", "--tracks", "8", "--cnots", "2", "--seed", "5",
+         "--noise-p", "0.1", "--noise-q", "0.05", "--out", "noisy.json"]
     ) == 0
     argv, digest = CLI_OUTPUT_DIGESTS[name]
     assert main(argv) in (0, 2)

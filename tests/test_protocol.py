@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -495,6 +496,93 @@ def test_trial_features_are_the_bloch_monomials_of_the_trial_kets():
     np.testing.assert_allclose(feats[:, :trials], want, rtol=0, atol=1e-14)
 
 
+def _sha(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def _stats_bits(stats) -> np.ndarray:
+    return np.array([(s.x_like, s.y_like, s.stderr_x, s.stderr_y) for s in stats])
+
+
+#: SHA-256 of the trial engine's outputs on a noisy 6-role layer at 20011
+#: trials (seed 5): every block's features and Gram, the shot probabilities,
+#: and the exact and 1000-shot statistics. Recorded with 64-block chunks.
+_ENGINE_DIGESTS = {
+    "features": "f391dd1da572074823b08f741decf91363af2f65ea69b0ccf1db4d0e4aa3ae4a",
+    "grams": "a17aa69b1de101462a620065e53b2f7488afe288c31a12ba5e4a7475ef27c582",
+    "probabilities": "fd7e6f8f578e93a2ba3278373d48fad17ae084023209c2e901552e660d80e406",
+    "exact": "578010578343196d0fd0a5abad74aaaaf06de6103cd0d8d39bb7e1aa4bf70039",
+    "shots": "9636e69d14220c2a2f7139ed822f0cff1b87caebc7a2070594534fbab55368f2",
+}
+
+
+@pytest.mark.parametrize("chunk_blocks", [1, 3, 16, 64])
+def test_engine_bits_do_not_depend_on_the_chunk_size(chunk_blocks, monkeypatch):
+    # 20011 trials make 40 blocks: one chunk of 64, several of 16 or 3 with
+    # a short last one, and 40 of one block.
+    monkeypatch.setattr(protocol, "_CHUNK_BLOCKS", chunk_blocks)
+    layer = _every_kind_layer(5, 0.15, (0.2, 0.3))
+    trials = 20_011
+    forms = _role_forms(layer, layer.transfer.roles)
+    got = {
+        "features": _sha(np.concatenate([f.copy() for f in _trial_features(5, trials)])),
+        "grams": _sha(np.stack(list(_block_grams(5, trials)))),
+        "probabilities": _sha(_trial_probabilities(forms, 5, trials)),
+        "exact": _sha(_stats_bits(run_protocol(layer, seed=5, trials=trials))),
+        "shots": _sha(_stats_bits(run_protocol(layer, seed=5, trials=trials, shots=1000))),
+    }
+    assert got == _ENGINE_DIGESTS
+
+
+def _former_shot_stats(layer, seed, trials, shots):
+    # The former shot loop, one (2, trials) draw per track, kept as an exact
+    # oracle.
+    transfer = layer.transfer
+    probs = _trial_probabilities(_role_forms(layer, transfer.roles), seed, trials)
+    shot_gen = protocol._shot_generator(seed)
+    stats = []
+    for track, role in enumerate(transfer.role):
+        row = 2 * int(role)
+        draws = 2.0 * shot_gen.binomial(shots, probs[row : row + 2]) / shots
+        means = [float(np.mean(d)) for d in draws]
+        stderr = [
+            float(np.std(d, ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+            for d in draws
+        ]
+        stats.append(TrackStats(track, *means, *stderr, trials=trials))
+    return stats
+
+
+@pytest.mark.parametrize("trials", [1, 2, _BLOCK + 1, DEFAULT_TRIALS])
+def test_shot_stats_match_the_former_two_row_draws(trials):
+    for noise in ((0.0, 0.0), (0.2, 0.3)):
+        layer = _every_kind_layer(7, 0.15, noise)
+        got = run_protocol(layer, seed=7, trials=trials, shots=1000)
+        want = _former_shot_stats(layer, 7, trials, 1000)
+        assert [(s.track, s.trials) for s in got] == [(s.track, s.trials) for s in want]
+        assert np.array_equal(_stats_bits(got).view(np.uint64), _stats_bits(want).view(np.uint64))
+
+
+def test_engine_working_memory_is_one_chunk_and_one_row_of_draws():
+    # Exact mode holds one chunk of features; shot mode adds the (forms,
+    # trials) probability array and one row of draws. The first call builds
+    # the layer's transfer tensors outside the traced runs.
+    layer = random_layer(num_tracks=64, num_cnots=12, seed=3, noise=(0.1, 0.05))
+    assert len(layer.transfer.roles) == 6
+    run_protocol(layer, seed=1, trials=_BLOCK, shots=1000)
+    peaks = {}
+    for shots in (None, 1000):
+        tracemalloc.start()
+        try:
+            run_protocol(layer, seed=1, trials=DEFAULT_TRIALS, shots=shots)
+            peaks[shots] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    probs_bytes = 12 * (-(-DEFAULT_TRIALS // _BLOCK) * _BLOCK) * 8
+    assert peaks[None] <= 1.5 * 2**20
+    assert peaks[1000] <= probs_bytes + 2 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # detection
 
@@ -880,6 +968,39 @@ def test_probe_stages_reject_non_integer_and_outside_tracks():
         with pytest.raises(ValueError, match=message):
             disambiguate(layer, cands, cnot, ambiguous)
     assert disambiguate(layer, cands, [np.int64(t) for t in cnot_tracks])
+
+
+def test_probe_stages_check_track_arrays_in_one_pass_and_return_python_ints():
+    # Every probe stage takes an ndarray of tracks, checked in one pass: a
+    # float, bool or 2-D array is refused by name, as is an entry outside
+    # the layer. Results agree with the list path and hold Python ints only.
+    layer = random_layer(num_tracks=6, num_cnots=1, seed=3, min_component=0.15)
+    basis = layer.hidden_basis
+    cands = recover_basis(expected_averages(basis))
+    cnot = list(layer.cnot_pairs()[0])
+    singles = [t for t in range(6) if t not in cnot]
+    stages = {
+        "cnot_tracks": lambda t: disambiguate(layer, cands, t),
+        "ambiguous_tracks": lambda t: disambiguate(layer, cands, cnot, t),
+        "candidate_tracks": lambda t: pairing_probe(layer, basis, t),
+        "tracks": lambda t: classify_single_qubit_gates(layer, basis, t),
+    }
+    for name, stage in stages.items():
+        for bad in (np.array([0.0, 1.0]), np.array([True, False]), np.array([cnot])):
+            with pytest.raises(ValueError, match=f"^{name}: expected a 1-D integer array"):
+                stage(bad)
+        for bad, shown in ((np.array([1, -1]), "-1"), (np.array([6, 0], dtype=np.uint16), "6")):
+            with pytest.raises(ValueError, match=f"^{name}: \\[{shown}\\] out of range for 6"):
+                stage(bad)
+    pairs, cleared = pairing_probe(layer, basis, np.array(cnot + singles + cnot))
+    assert (pairs, cleared) == pairing_probe(layer, basis, cnot + singles)
+    assert pairs and all(type(t) is int for t in [*pairs[0], *cleared])
+    labels = classify_single_qubit_gates(layer, basis, np.array(singles, dtype=np.int32))
+    assert labels == classify_single_qubit_gates(layer, basis, [np.int64(t) for t in singles])
+    assert all(type(t) is int for t in labels)
+    got = disambiguate(layer, cands, np.array(cnot), np.array(singles))
+    want = disambiguate(layer, cands, cnot, singles)
+    assert got and [c.basis for c in got] == [c.basis for c in want]
 
 
 def test_classify_single_qubit_gates_identifies_dictionary():

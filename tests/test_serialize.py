@@ -75,6 +75,97 @@ def test_dumps_canonical_rejects_non_string_keys_and_unknown_types():
         dumps_canonical({"x": object()})
 
 
+def _former_emit(obj, parts):
+    # The former writer, an isinstance chain with json.dumps for strings,
+    # kept as an exact oracle.
+    if obj is None:
+        parts.append("null")
+    elif isinstance(obj, bool):
+        parts.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        parts.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        parts.append(format_float(float(obj)))
+    elif isinstance(obj, (complex, np.complexfloating)):
+        _former_emit(complex_pair(complex(obj)), parts)
+    elif isinstance(obj, str):
+        parts.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        parts.append("{")
+        for i, (key, value) in enumerate(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"object keys must be strings, got {key!r}")
+            if i:
+                parts.append(", ")
+            parts.append(json.dumps(key))
+            parts.append(": ")
+            _former_emit(value, parts)
+        parts.append("}")
+    elif isinstance(obj, (list, tuple)) or (isinstance(obj, np.ndarray) and obj.ndim == 1):
+        parts.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                parts.append(", ")
+            _former_emit(item, parts)
+        parts.append("]")
+    else:
+        raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def _former_dumps(obj) -> str:
+    parts: list[str] = []
+    _former_emit(obj, parts)
+    return "".join(parts) + "\n"
+
+
+class _Label(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+def test_dumps_canonical_matches_the_former_writer():
+    strings = ["", "plain", 'quote " and \\', "tab\tnew\nline\x00\x1f\x7f", "café ψ 😀"]
+    strings.append("\ud800")  # a lone surrogate
+    floats = [0.0, -0.0, 1.5, -2.5e-300, 1e308, 0.1 + 0.2, math.nan, math.inf, -math.inf]
+    payload = {
+        "none": None,
+        "bools": [True, False],
+        "ints": [0, -7, 2**70, np.int64(-3), np.uint8(200), _Count(5)],
+        "floats": floats + [np.float64(-0.0), np.float32(0.1), np.float64(math.nan)],
+        "complex": [1 - 2j, complex(math.inf, -0.0), np.complex128(3 + 4j), np.complex64(1j)],
+        "strings": strings + [_Label("sub"), np.str_("numpy")],
+        "tuple": (1, (2.5, "x"), []),
+        "arrays": [np.array([1.0, -0.0, math.nan]), np.array([1, 2]), np.array([], float)],
+        "nested": {"a": {"b": [{"c": [[]]}, {}]}},
+    }
+    for key in strings + [_Label("sub")]:
+        payload = {key: payload}
+    assert dumps_canonical(payload) == _former_dumps(payload)
+    for value in (*strings, *floats, 3, None, [], {}, ()):
+        assert dumps_canonical(value) == _former_dumps(value)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({1: "x"}, "keys"),
+        ({None: 1}, "keys"),
+        ({"x": object()}, "cannot serialize"),
+        ([np.zeros((2, 2))], "cannot serialize"),
+        ({"x": np.array(1.0)}, "cannot serialize"),
+        ({"x": {1, 2}}, "cannot serialize"),
+        ([np.bool_(True)], "cannot serialize"),
+    ],
+)
+def test_dumps_canonical_type_errors_match_the_former_writer(bad, message):
+    for dumps in (dumps_canonical, _former_dumps):
+        with pytest.raises(TypeError, match=message):
+            dumps(bad)
+
+
 def test_complex_pair():
     assert complex_pair(1 - 2j) == [1.0, -2.0]
 
