@@ -110,8 +110,9 @@ def pauli_transfer(u: np.ndarray, side: int = 0) -> np.ndarray:
 @dataclass(frozen=True, slots=True)
 class LayerTransfer:
     """A layer's noise-free action: ``tensors[i]`` is the ``pauli_transfer``
-    of ``roles[i]`` (kind, side; side None for a single-qubit gate). Track t
-    holds role ``role[t]``; its CNOT partner, or t itself, is ``partner[t]``."""
+    of ``roles[i]`` (kind, side: 0 for a CNOT control, 1 for its target,
+    None for a single-qubit gate), in order of first track. Track t holds
+    role ``role[t]``; its CNOT partner, or t itself, is ``partner[t]``."""
 
     roles: tuple[tuple[GateKind, int | None], ...]
     tensors: np.ndarray
@@ -210,27 +211,20 @@ class CircuitLayer:
     def transfer(self) -> LayerTransfer:
         """Read-only, built once per layer from the gate matrices of its roles;
         the trial engine and the probe simulator both read it."""
-        per_track = self.track_roles
-        keys = [(kind, side) for kind, side, _pair in per_track]
-        roles = tuple(dict.fromkeys(keys))
+        key = {t: (kind, None) for t, kind in self.single_assignments().items()}
+        partner = np.arange(self.num_tracks)
+        for pair in self.cnot_pairs():
+            for side, t in enumerate(pair):
+                key[t] = (GateKind.CNOT, side)
+                partner[t] = pair[1 - side]
+        index: dict[tuple[GateKind, int | None], int] = {}
+        role = [index.setdefault(key[t], len(index)) for t in range(self.num_tracks)]
+        role = np.array(role, dtype=np.intp)
         basis = self.hidden_basis
-        tensors = np.array([pauli_transfer(gate_matrix(k, basis), s or 0) for k, s in roles])
-        role = np.array([roles.index(key) for key in keys], dtype=np.intp)
-        partner = np.array([t if p is None else p[1 - s] for t, (_, s, p) in enumerate(per_track)])
+        tensors = np.array([pauli_transfer(gate_matrix(k, basis), s or 0) for k, s in index])
         for arr in (tensors, role, partner):
             arr.setflags(write=False)
-        return LayerTransfer(roles, tensors, role, partner)
-
-    @property
-    def track_roles(self) -> tuple[tuple[GateKind, int | None, tuple[int, int] | None], ...]:
-        """Per track, (kind, side, pair): side 0 or 1 marks the control or
-        target of the CNOT ``pair``; single-qubit tracks have side and pair
-        None. Tracks of one role fed the same inputs give bit-identical outputs."""
-        roles = {t: (kind, None, None) for t, kind in self.single_assignments().items()}
-        for pair in self.cnot_pairs():
-            roles[pair[0]] = (GateKind.CNOT, 0, pair)
-            roles[pair[1]] = (GateKind.CNOT, 1, pair)
-        return tuple(roles[t] for t in range(self.num_tracks))
+        return LayerTransfer(tuple(index), tensors, role, partner)
 
     def cnot_pairs(self) -> list[tuple[int, int]]:
         return [(g.control, g.target) for g in self.gates if isinstance(g, CnotGate)]
@@ -356,11 +350,10 @@ def layer_from_json_dict(data: dict) -> CircuitLayer:
     for key in ("alpha", "beta"):
         if key not in raw_basis:
             raise ValueError(f"hidden_basis.{key}: missing")
+    alpha = parse_complex_field(raw_basis["alpha"], name="hidden_basis.alpha")
+    beta = parse_complex_field(raw_basis["beta"], name="hidden_basis.beta")
     try:
-        basis = QubitBasis(
-            alpha=parse_complex_field(raw_basis["alpha"], name="hidden_basis.alpha"),
-            beta=parse_complex_field(raw_basis["beta"], name="hidden_basis.beta"),
-        )
+        basis = QubitBasis(alpha=alpha, beta=beta)
     except ValueError as exc:
         raise ValueError(f"hidden_basis: {exc}") from None
     gates: list = []
@@ -371,7 +364,7 @@ def layer_from_json_dict(data: dict) -> CircuitLayer:
         if not isinstance(raw, dict):
             raise ValueError(f"gates[{i}]: expected an object")
         kind_name = raw.get("kind")
-        if kind_name not in _KIND_BY_NAME:
+        if not isinstance(kind_name, str) or kind_name not in _KIND_BY_NAME:
             raise ValueError(
                 f"gates[{i}].kind: expected one of {sorted(_KIND_BY_NAME)}, got {kind_name!r}"
             )

@@ -6,8 +6,7 @@ Subcommands::
     texlab channel-audit  --in channel.json [--states N] [--seed S] [--out FILE]
     texlab identify       --in layer.json [--seed S] [--trials N] [--tau T]
                           [--shots K] [--out FILE] [--format json|csv]
-    texlab paramagnet     [--grid a:b:n] [--rtol R] [--quadrature-points N]
-                          [--out FILE] [--format json|csv]
+    texlab paramagnet     [--grid a:b:n] [--out FILE] [--format json|csv]
     texlab layer-gen      --tracks N --cnots K [--seed S] [--noise-p P]
                           [--noise-q Q] [--min-component C] [--out FILE]
 
@@ -34,12 +33,7 @@ from .channels import (
     texture_free_certificate,
 )
 from .circuit import layer_from_json_dict, layer_to_json_dict
-from .paramagnet import (
-    DEFAULT_MAX_POINTS,
-    DEFAULT_RTOL,
-    paramagnet_csv,
-    paramagnet_report,
-)
+from .paramagnet import paramagnet_csv, paramagnet_report
 from .protocol import (
     DEFAULT_TAU,
     DEFAULT_TRIALS,
@@ -86,6 +80,11 @@ def _state_from_json_dict(data: dict) -> DensityOperator:
         rows = data["matrix"]
         if not isinstance(rows, list) or not rows:
             raise ValueError("matrix: expected a non-empty list of rows")
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != len(rows):
+                raise ValueError(
+                    f"matrix[{i}]: expected a list of {len(rows)} entries, got {row!r}"
+                )
         matrix = np.array(
             [
                 [parse_complex_field(entry, name=f"matrix[{i}][{j}]")
@@ -199,11 +198,7 @@ def _parse_grid(spec: str) -> list[float]:
 
 
 def _cmd_paramagnet(args: argparse.Namespace) -> int:
-    report = paramagnet_report(
-        _parse_grid(args.grid),
-        rtol=args.rtol,
-        max_points=args.quadrature_points,
-    )
+    report = paramagnet_report(_parse_grid(args.grid))
     if args.format == "json":
         _write_output(dumps_canonical(report), args.out)
     else:
@@ -261,13 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         "paramagnet", help="averaged rugosity of the coherent paramagnet"
     )
     para.add_argument("--grid", default="0:5:26", help="field grid start:stop:count")
-    para.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
-    para.add_argument(
-        "--quadrature-points",
-        type=int,
-        default=DEFAULT_MAX_POINTS,
-        help="quadrature node cap",
-    )
     para.add_argument("--out", default=None)
     para.add_argument("--format", choices=("json", "csv"), default="json")
     para.set_defaults(handler=_cmd_paramagnet)

@@ -32,7 +32,7 @@ way (the (H x H) CNOT (H x H) identity), is derived, not searched for.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -229,7 +229,7 @@ def run_protocol(
         if shots < 1:
             raise ValueError(f"shots: must be a positive integer, got {shots}")
     transfer = layer.transfer
-    forms = _role_forms(layer, transfer.roles)
+    forms = _role_forms(layer)
     rows = [2 * int(i) for i in transfer.role]
     if shots is None:
         # Python's sum adds the blocks left to right, in trial order: the
@@ -344,21 +344,22 @@ def _trial_probabilities(forms: np.ndarray, seed: int, trials: int) -> np.ndarra
     return np.clip(probs, 0.0, 1.0, out=probs)
 
 
-def _role_forms(layer: CircuitLayer, roles) -> np.ndarray:
-    """Feature coefficients of the per-trial grand sums of ``roles``.
+def _role_forms(layer: CircuitLayer) -> np.ndarray:
+    """Feature coefficients of the per-trial grand sums of the layer's roles.
 
-    Rows 2 i and 2 i + 1 hold the (computational, Fourier) forms of the
-    i-th (kind, side): a trial with features f has grand sum w . f. The
-    readout row, times the role's transfer tensor, times the hidden basis's
-    Bloch rotation on both inputs is a quadratic form in the trial's Bloch
-    row, folded onto the features. Input white noise p mixes in grand sum
-    1; CNOT dropout q passes the input through, as the identity's tensor.
+    Rows 2 i and 2 i + 1 hold the (computational, Fourier) forms of
+    ``layer.transfer.roles[i]``: a trial with features f has grand sum
+    w . f. The readout row, times the role's transfer tensor, times the
+    hidden basis's Bloch rotation on both inputs is a quadratic form in the
+    trial's Bloch row, folded onto the features. Input white noise p mixes
+    in grand sum 1; CNOT dropout q passes the input through, as the
+    identity's tensor.
     """
     p, q = layer.noise
     transfer = layer.transfer
-    tensors = transfer.tensors[[transfer.roles.index(role) for role in roles]]
-    drop = np.array([q if kind is GateKind.CNOT else 0.0 for kind, _ in roles]).reshape(-1, 1, 1, 1)
-    tensors = (1.0 - p) * ((1.0 - drop) * tensors + drop * pauli_transfer(np.eye(2)))
+    drop = np.array([q if kind is GateKind.CNOT else 0.0 for kind, _ in transfer.roles])
+    drop = drop.reshape(-1, 1, 1, 1)
+    tensors = (1.0 - p) * ((1.0 - drop) * transfer.tensors + drop * pauli_transfer(np.eye(2)))
     rot = _frame(layer.hidden_basis)
     quad = rot.T @ np.einsum("ra,kabc->krbc", _READOUT, tensors) @ rot
     forms = np.einsum("krde,dej->krj", quad, _FOLD).reshape(-1, 10)
@@ -444,18 +445,9 @@ def detect_cnot_tracks(
 
 @dataclass(frozen=True)
 class CandidateBasis:
-    """One hidden-basis hypothesis recovered from the track averages.
-
-    ``sign_choice`` records the signs chosen for (sin lambda, sin chi); a
-    derived gauge partner keeps the ``sign_choice`` of the candidate it was
-    derived from. ``degenerate`` only labels a candidate of the
-    short-circuit for |alpha|^2 near 0 or 1 (the relabeled computational
-    basis); no stage prefers or drops it.
-    """
+    """One hidden-basis hypothesis recovered from the track averages."""
 
     basis: QubitBasis
-    sign_choice: tuple[int, int]
-    degenerate: bool = False
 
 
 def recover_basis(averages, stderr: float = 0.0) -> list[CandidateBasis]:
@@ -484,7 +476,7 @@ def recover_basis(averages, stderr: float = 0.0) -> list[CandidateBasis]:
     if r_alpha > 1.0 - DEGENERACY_FLOOR or r_alpha < DEGENERACY_FLOOR:
         alpha = 1.0 if r_alpha > 0.5 else 0.0
         basis = QubitBasis(alpha=alpha, beta=1.0 - alpha)
-        return [CandidateBasis(basis, sign_choice=(1, 1), degenerate=True)]
+        return [CandidateBasis(basis)]
     mag_a = math.sqrt(r_alpha)
     mag_b = math.sqrt(1.0 - r_alpha)
     radius = math.hypot(yt - x, xt + y - 2.0)
@@ -503,7 +495,7 @@ def recover_basis(averages, stderr: float = 0.0) -> list[CandidateBasis]:
                 basis = QubitBasis(alpha=alpha, beta=beta)
                 px, pxt, py, pyt = expected_averages(basis)
                 err = max(abs(px - x), abs(pxt - xt), abs(py - y), abs(pyt - yt))
-                scored.append((err, CandidateBasis(basis, sign_choice=(s_sl, s_sc))))
+                scored.append((err, CandidateBasis(basis)))
     # The inversion amplifies measurement noise by roughly 1/min(|alpha|^2,
     # |beta|^2), so sign combos are pruned relative to the best fit rather
     # than at a fixed multiple of the standard error; downstream probe runs
@@ -650,7 +642,7 @@ def disambiguate(
         v = _polish_candidate(layer, cand.basis, probe_tracks, cnot_tracks)
         if v is None:
             continue
-        polished = replace(cand, basis=QubitBasis.from_plus_ket(v))
+        polished = CandidateBasis(QubitBasis.from_plus_ket(v))
         if not _on_ray(polished, passing):
             passing.append(polished)
     return passing
@@ -925,12 +917,12 @@ def identify_layer(
             notes.append(f"candidate rejected: detected tracks {missing} found no partner")
             continue
         try:
-            pinned = replace(cand, basis=_pin_basis_phase(layer, cand.basis, pairs[0]))
+            pinned = CandidateBasis(_pin_basis_phase(layer, cand.basis, pairs[0]))
         except IdentificationError as exc:
             notes.append(f"candidate rejected while pinning the phase: {exc}")
             continue
         single_tracks = [t for t in range(layer.num_tracks) if t not in paired_tracks]
-        partner = replace(cand, basis=_gauge_partner(pinned.basis), degenerate=False)
+        partner = CandidateBasis(_gauge_partner(pinned.basis))
         for member, member_pairs in ((pinned, pairs), (partner, [(t, c) for c, t in pairs])):
             gates = classify_single_qubit_gates(layer, member.basis, single_tracks)
             results.append((member, member_pairs, gates))
@@ -1055,8 +1047,6 @@ def _candidate_dict(cand: CandidateBasis) -> dict:
     return {
         "alpha": [cand.basis.alpha.real, cand.basis.alpha.imag],
         "beta": [cand.basis.beta.real, cand.basis.beta.imag],
-        "sign_choice": [cand.sign_choice[0], cand.sign_choice[1]],
-        "degenerate": cand.degenerate,
     }
 
 

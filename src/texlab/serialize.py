@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-ARTIFACT_VERSION = "0.2.0"
+ARTIFACT_VERSION = "0.3.0"
 
 
 def format_float(value: float) -> str:
@@ -66,7 +66,7 @@ def _emit(obj: Any, parts: list[str]) -> None:
         parts.append("]")
     elif obj is None:
         parts.append("null")
-    elif isinstance(obj, bool):
+    elif isinstance(obj, (bool, np.bool_)):
         parts.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         parts.append(str(int(obj)))
@@ -97,21 +97,6 @@ def dumps_csv(columns, rows) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def parse_float_field(value: Any, *, name: str) -> float:
-    """Parse a report float that may be the literal string "inf"/"-inf"."""
-    if isinstance(value, str):
-        if value == "inf":
-            return math.inf
-        if value == "-inf":
-            return -math.inf
-        if value == "nan":
-            return math.nan
-        raise ValueError(f"{name}: unrecognized float string {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    raise ValueError(f"{name}: expected a number, got {type(value).__name__}")
 
 
 def require_integer(value: Any, *, name: str) -> None:

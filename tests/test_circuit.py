@@ -380,9 +380,16 @@ def test_layer_transfer_is_built_once_and_read_only():
         assert not arr.flags.writeable
     assert len(transfer.roles) == len(set(transfer.roles)) == 6
     assert transfer.partner.tolist() == [3, 8, 2, 0, 4, 5, 6, 7, 1, 9]
-    assert layer.track_roles[0] == (GateKind.CNOT, 0, (0, 3))
-    assert layer.track_roles[3] == (GateKind.CNOT, 1, (0, 3))
-    assert layer.track_roles[7] == (GateKind.IDENTITY, None, None)
+    # Roles in order of their first track, side 0 for a control.
+    assert transfer.roles == (
+        (GateKind.CNOT, 0),
+        (GateKind.CNOT, 1),
+        (GateKind.HADAMARD, None),
+        (GateKind.T, None),
+        (GateKind.IDENTITY, None),
+        (GateKind.S, None),
+    )
+    assert transfer.role.tolist() == [0, 1, 2, 1, 3, 4, 5, 4, 0, 2]
 
 
 def test_layer_json_round_trip():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 import texlab
@@ -20,3 +23,14 @@ def test_star_import_binds_every_exported_name():
     namespace: dict = {}
     exec("from texlab import *", namespace)
     assert set(texlab.__all__) <= set(namespace)
+
+
+def test_readme_quick_start_runs():
+    # The README's library quick start, run as written: the docs cannot rot
+    # silently.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace: dict = {}
+    exec(code, namespace)
+    assert namespace["report"].status == "full"

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from texlab import paramagnet
 from texlab.paramagnet import (
     averaged_rugosity_per_spin,
     coherent_grand_sum,
@@ -97,38 +98,14 @@ def test_report_rows_match_corrected_form_to_rounding():
     assert all(abs(row["residual_alt"]) < 1e-12 for row in report["rows"])
 
 
-def test_quadrature_parameter_validation():
-    with pytest.raises(ValueError, match="rtol"):
-        averaged_rugosity_per_spin(1.0, rtol=0.0)
+def test_quadrature_parameter_validation(monkeypatch):
     # A cap that holds only the first level (129 nodes) has nothing to
     # compare it with.
+    monkeypatch.setattr(paramagnet, "MAX_POINTS", 129)
+    with pytest.raises(RuntimeError, match="did not converge within 129 points"):
+        averaged_rugosity_per_spin(0.01)
     with pytest.raises(RuntimeError, match="did not converge"):
-        averaged_rugosity_per_spin(0.01, max_points=129)
-
-
-@pytest.mark.parametrize("rtol", [math.nan, math.inf, -math.inf])
-def test_non_finite_rtol_is_rejected(rtol):
-    with pytest.raises(ValueError, match="rtol: must be a finite positive real"):
-        averaged_rugosity_per_spin(1.0, rtol=rtol)
-    with pytest.raises(ValueError, match="rtol: must be a finite positive real"):
-        paramagnet_report([0.0], rtol=rtol)
-
-
-@pytest.mark.parametrize("max_points", [2.5, 1024.0, True])
-def test_non_integer_point_cap_is_rejected(max_points):
-    with pytest.raises(ValueError, match="max_points: must be an integer"):
-        averaged_rugosity_per_spin(1.0, max_points=max_points)
-
-
-@pytest.mark.parametrize("max_points", [0, -5])
-def test_non_positive_point_cap_is_rejected_as_an_argument(max_points):
-    # A cap below 1 is a bad argument, not a quadrature that failed to
-    # converge.
-    for x in (1.0, 0.01):
-        with pytest.raises(ValueError, match="max_points: must be positive"):
-            averaged_rugosity_per_spin(x, max_points=max_points)
-    with pytest.raises(ValueError, match="max_points"):
-        paramagnet_report([1.0], max_points=max_points)
+        paramagnet_report([1.0])
 
 
 def test_sampled_rugosity_agrees_with_quadrature():
@@ -183,6 +160,7 @@ def test_paramagnet_report_structure_and_discrepancy_note():
     assert report["notes"]
     assert "paper_closed_form disagrees" in report["notes"][0]
     assert report["gibbs_rugosity"] == pytest.approx(LN2)
+    assert report["rtol"] == paramagnet.RTOL == 1e-8
     # The report must be canonically serializable.
     assert dumps_canonical(report).endswith("\n")
     with pytest.raises(ValueError, match="x_values"):

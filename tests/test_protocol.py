@@ -401,6 +401,16 @@ def _cnot_values_reference(psi, u4, p, q):
 _SINGLE_KINDS = (GateKind.IDENTITY, GateKind.HADAMARD, GateKind.T, GateKind.S)
 
 
+def _track_roles(layer):
+    # Per track, (kind, side, pair) read off the gate list: side 0 or 1 for
+    # the control or target of the CNOT pair, None for a single-qubit gate.
+    roles = {t: (kind, None, None) for t, kind in layer.single_assignments().items()}
+    for pair in layer.cnot_pairs():
+        roles[pair[0]] = (GateKind.CNOT, 0, pair)
+        roles[pair[1]] = (GateKind.CNOT, 1, pair)
+    return [roles[t] for t in range(layer.num_tracks)]
+
+
 def _every_kind_layer(seed, min_component, noise):
     basis = random_layer(num_tracks=2, num_cnots=1, seed=seed, min_component=min_component)
     gates = tuple(SingleGate(kind, i) for i, kind in enumerate(_SINGLE_KINDS)) + (CnotGate(4, 5),)
@@ -412,7 +422,7 @@ def _reference_values(layer, psi):
     mats = {kind: gate_matrix(kind, layer.hidden_basis) for kind in GateKind}
     p, q = layer.noise
     out = []
-    for kind, side, _pair in layer.track_roles:
+    for kind, side, _pair in _track_roles(layer):
         if kind is GateKind.CNOT:
             out.append(_cnot_values_reference(psi, mats[kind], p, q)[side])
         else:
@@ -437,8 +447,8 @@ def test_engine_matches_the_per_trial_reference(trials):
             psi = _trial_kets_reference(layer.hidden_basis, seed, trials)
             values = _reference_values(layer, psi)
             stats = run_protocol(layer, seed=seed, trials=trials)
-            roles = [(kind, side) for kind, side, _pair in layer.track_roles]
-            forms = _role_forms(layer, roles)
+            # One pair of form rows per track.
+            forms = _role_forms(layer).reshape(-1, 2, 10)[layer.transfer.role].reshape(-1, 10)
             gram = sum(_block_grams(seed, trials))
             mean = gram[0] / trials
             # Size of the terms that cancel in w^T (G/N - m m^T) w.
@@ -523,7 +533,7 @@ def test_engine_bits_do_not_depend_on_the_chunk_size(chunk_blocks, monkeypatch):
     monkeypatch.setattr(protocol, "_CHUNK_BLOCKS", chunk_blocks)
     layer = _every_kind_layer(5, 0.15, (0.2, 0.3))
     trials = 20_011
-    forms = _role_forms(layer, layer.transfer.roles)
+    forms = _role_forms(layer)
     got = {
         "features": _sha(np.concatenate([f.copy() for f in _trial_features(5, trials)])),
         "grams": _sha(np.stack(list(_block_grams(5, trials)))),
@@ -538,7 +548,7 @@ def _former_shot_stats(layer, seed, trials, shots):
     # The former shot loop, one (2, trials) draw per track, kept as an exact
     # oracle.
     transfer = layer.transfer
-    probs = _trial_probabilities(_role_forms(layer, transfer.roles), seed, trials)
+    probs = _trial_probabilities(_role_forms(layer), seed, trials)
     shot_gen = protocol._shot_generator(seed)
     stats = []
     for track, role in enumerate(transfer.role):
@@ -665,7 +675,6 @@ def test_recover_basis_degenerate_short_circuit():
     # Averages of the computational hidden basis.
     candidates = recover_basis((2.0 / 3.0, 1.0, 1.0, 4.0 / 3.0))
     assert len(candidates) == 1
-    assert candidates[0].degenerate
     assert basis_distance(candidates[0].basis, QubitBasis(alpha=1.0, beta=0.0)) == 0.0
 
 
@@ -772,11 +781,11 @@ def test_disambiguate_error_paths():
     )
     with pytest.raises(IdentificationError, match="no candidate bases"):
         disambiguate(layer, [], [0, 1])
-    cand = CandidateBasis(basis=basis, sign_choice=(1, 1))
+    cand = CandidateBasis(basis=basis)
     with pytest.raises(IdentificationError, match="no detected CNOT"):
         disambiguate(layer, [cand], [])
     # A candidate far from any fixed ray of the layer fails the product test.
-    wrong = CandidateBasis(basis=QubitBasis(alpha=0.8, beta=0.6j), sign_choice=(1, 1))
+    wrong = CandidateBasis(basis=QubitBasis(alpha=0.8, beta=0.6j))
     assert disambiguate(layer, [wrong], [0, 1]) == []
 
 
@@ -841,12 +850,10 @@ def test_disambiguate_matches_the_every_track_polish_bit_for_bit(monkeypatch):
         singles = [t for t in range(num_tracks) if t not in cnot_tracks]
         ambiguous = [t for t in singles if rng.random() < 0.5]
         probe_tracks = cnot_tracks + ambiguous
-        roles = [layer.track_roles[t][:2] for t in probe_tracks]
+        roles = layer.transfer.role[probe_tracks].tolist()
         repeated_roles += len(set(roles)) < len(roles)
         candidates = recover_basis(expected_averages(layer.hidden_basis))
-        candidates += [
-            CandidateBasis(basis=_random_basis(rng), sign_choice=(1, 1))
-        ]
+        candidates += [CandidateBasis(basis=_random_basis(rng))]
         got = disambiguate(layer, candidates, cnot_tracks, ambiguous)
         with monkeypatch.context() as m:
             m.setattr(protocol, "_polish_candidate", _every_track_polish)
@@ -1181,7 +1188,6 @@ def test_identify_computational_basis_layer_reports_degeneracy_flag():
     )
     report = identify_layer(layer, seed=103, trials=25_000)
     assert report.status == "full"
-    assert report.selected.degenerate
     assert basis_distance(report.selected.basis, QubitBasis.computational()) <= 1e-9
     assert report.cnot_pairs == ((0, 1),)
     assert report.gates[2] == "S"
@@ -1480,32 +1486,32 @@ def test_seeded_sweep_never_raises_or_claims_a_wrong_full():
             assert report.notes
 
 
-#: SHA-256 of the canonical report bytes of fixed layers. The digests of
-#: every clean layer were last recorded when the probe stages moved to
-#: Bloch rows, which changed the candidate and selected bases' last bits
-#: (at most 3.3e-16); the track statistics kept their bytes. The noisy
-#: layer, which stops after detection, kept its digest. A change that moves
-#: any of these bytes must record why, and the old and new digests.
+#: SHA-256 of the canonical report bytes of fixed layers. The digests were
+#: last recorded for report format 0.3.0, whose candidates hold only
+#: ``alpha`` and ``beta``: every digest moved through ``version``, and the
+#: clean layers' also through the two candidate keys dropped; every other
+#: byte was kept. A change that moves any of these bytes must record why,
+#: and the old and new digests.
 PINNED_REPORTS = {
     "narrow": (
         dict(num_tracks=6, num_cnots=2, seed=31, min_component=0.15),
         dict(seed=41, trials=100_000),
-        "dddb62dbc6bc1044026cf1920b6309bcbebd5c35e827fc1ec7191be0706175cf",
+        "caa2c4bb00b8816d94094b50d992d5f6dbc2b5b5a763a1e5f7c408e51e8556d5",
     ),
     "48-tracks": (
         dict(num_tracks=48, num_cnots=6, seed=32, min_component=0.15),
         dict(seed=42, trials=50_000),
-        "ebd5f1a18f8027fcf855ca5efcf9a2a015be814ec217a03362b1784bab862e4f",
+        "ae089c03e1fe8b5cb4430e77d8090877ea4a0194cee2bc8813d4960d57cf0fc3",
     ),
     "noisy-shots": (
         dict(num_tracks=16, num_cnots=2, seed=33, min_component=0.15, noise=(0.05, 0.1)),
         dict(seed=43, trials=20_000, shots=1000),
-        "2383e607e894623071337d539d6b1a02707607f21eb5e82f88bb311bb1f6e142",
+        "65a7365ed16f271925c3c76571ec0599e3be448f6e82136f7fffb306a34c30d4",
     ),
     "clean-shots": (
         dict(num_tracks=8, num_cnots=2, seed=34, min_component=0.2),
         dict(seed=44, trials=100_000, shots=1000),
-        "1749bef60b535a6ece2b0c4cd75564d55b3c6ab3151050df6bc525189fdd283b",
+        "295847a74cfea2feba324a06baeb90c20afc74a37e76394a93beec8370d10ad1",
     ),
 }
 
@@ -1529,14 +1535,14 @@ _PAULI_REFERENCE = np.array(
 _GRAND_SUMS_REFERENCE = (np.ones((2, 2)), np.diag([2.0, 0.0]))
 
 
-def _role_forms_reference(layer, roles):
+def _role_forms_reference(layer):
     # The former engine forms: each role's unitary expanded into grand-sum
     # forms by ``_grand_sum_forms_reference``.
     p, q = layer.noise
     mats = {kind: gate_matrix(kind, layer.hidden_basis) for kind in GateKind}
     b = layer.hidden_basis.matrix()
     forms = []
-    for kind, side in roles:
+    for kind, side in layer.transfer.roles:
         if kind is GateKind.CNOT:
             keep, drop = (1.0 - q) * (1.0 - p), q * (1.0 - p)
             forms.append(
@@ -1581,7 +1587,7 @@ def _run_layer_with_inputs_reference(layer, kets, tracks=None):
     if bad:
         raise ValueError(f"tracks: {bad} out of range for {layer.num_tracks} tracks")
     mats = {kind: gate_matrix(kind, layer.hidden_basis) for kind in GateKind}
-    roles = layer.track_roles
+    roles = _track_roles(layer)
     states = {}
     outputs = []
     for track in tracks:
@@ -1629,10 +1635,9 @@ def test_role_forms_match_the_former_grand_sum_forms():
     for seed in range(40):
         for noise in _ENGINE_NOISE:
             layer = _every_kind_layer(seed, 0.0 if seed % 2 else 0.15, noise)
-            roles = [(kind, side) for kind, side, _pair in layer.track_roles]
-            got = _role_forms(layer, roles)
-            want = _role_forms_reference(layer, roles)
-            assert got.shape == want.shape == (2 * len(roles), 10)
+            got = _role_forms(layer)
+            want = _role_forms_reference(layer)
+            assert got.shape == want.shape == (2 * len(layer.transfer.roles), 10)
             assert np.max(np.abs(got - want)) <= 1e-15, (seed, noise)
 
 
@@ -1666,10 +1671,10 @@ def test_probe_outputs_match_the_former_simulator():
 #: Report digests of the former kernels (simulator and engine forms) under
 #: today's probe stages; they move only with the stages.
 _FORMER_KERNEL_DIGESTS = {
-    "narrow": "ae869a6e7a2816fd54a204397d95c2d80ac51215b1ef88eb3a274fdaffb5ecc4",
-    "48-tracks": "4ea7f77b1b85aac61a229c44c61735f9429127d00d2b22419297cb8bfc08d77e",
-    "noisy-shots": "2383e607e894623071337d539d6b1a02707607f21eb5e82f88bb311bb1f6e142",
-    "clean-shots": "11142d3285ebb3463be6c7de4f99e349fff08cfe5235972f6a741f9464f239a1",
+    "narrow": "48ee49768018be4d0b70cc9c4c32101276f7fd9d669bd4fe3c321c47f031eeec",
+    "48-tracks": "903234ceab30d622f980d36d2f306966953b021df0c63a0337c63a6a14e79eab",
+    "noisy-shots": "65a7365ed16f271925c3c76571ec0599e3be448f6e82136f7fffb306a34c30d4",
+    "clean-shots": "e92e56078c387f411179553105851ea13cabf609e004ee39603a4eacb189d0df",
 }
 
 
@@ -1737,7 +1742,7 @@ def test_protocol_report_invariants():
     )
     with pytest.raises(ValueError, match="status"):
         ProtocolReport(**{**kwargs, "status": "done"})
-    stray = CandidateBasis(basis=QubitBasis.computational(), sign_choice=(1, 1))
+    stray = CandidateBasis(basis=QubitBasis.computational())
     with pytest.raises(ValueError, match="selected"):
         ProtocolReport(**{**kwargs, "status": "partial", "selected": stray})
     with pytest.raises(ValueError, match="ambiguous"):
@@ -1776,6 +1781,9 @@ def test_report_serialization_layout():
     ]
     assert data["seed"] == 115
     assert data["trials"] == 20_000
+    assert data["candidates"]
+    for cand in data["candidates"] + [data["selected"]]:
+        assert list(cand) == ["alpha", "beta"]
     assert all(isinstance(k, str) for k in data["gates"])
     text = dumps_canonical(data)
     assert text == dumps_canonical(report_to_json_dict(report))
@@ -1820,7 +1828,7 @@ INTEGER_FIELDS = {
 
 @pytest.mark.parametrize("name", sorted(INTEGER_FIELDS))
 def test_integer_fields_reject_floats_and_bools(name):
-    # A float track used to drop out of track_roles, True to land on track
+    # A float track used to drop out of the layer's roles, True to land on track
     # 1, and a float count to fail later with a TypeError or an AxisError.
     build, field, good = INTEGER_FIELDS[name]
     for bad in (good + 0.5, float(good), True):
