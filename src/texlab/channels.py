@@ -49,46 +49,80 @@ def _require_dim(dim) -> None:
         raise ValueError(f"dim: must be a positive integer, got {dim}")
 
 
+def _operator_stack(operators, dim: int) -> np.ndarray:
+    """Read-only (K, dim, dim) complex128 stack of ``operators``.
+
+    A stack that is already read-only, C-ordered, complex128 and owns its
+    data is adopted as is; any other array is copied. Arrays are checked in
+    one vectorised pass, other iterables operator by operator, then
+    stacked once. Errors name the first offending ``operators[i]``.
+    """
+    if isinstance(operators, np.ndarray):
+        stack = operators
+        flags = stack.flags
+        if not (
+            stack.dtype == np.complex128
+            and flags.c_contiguous
+            and flags.owndata
+            and not flags.writeable
+        ):
+            stack = np.array(stack, dtype=np.complex128, order="C")
+        if stack.ndim != 3:
+            raise ValueError(
+                f"operators: expected a (K, {dim}, {dim}) stack, got shape {stack.shape}"
+            )
+        if stack.shape[1:] != (dim, dim):
+            raise ValueError(
+                f"operators[0]: shape {stack.shape[1:]} does not match dim {dim}"
+            )
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"operators[{int(np.argmin(finite))}]: entries must be finite")
+    else:
+        ops = []
+        for i, op in enumerate(operators):
+            m = as_complex_matrix(op, name=f"operators[{i}]")
+            if m.shape != (dim, dim):
+                raise ValueError(f"operators[{i}]: shape {m.shape} does not match dim {dim}")
+            ops.append(m)
+        stack = np.stack(ops) if ops else np.empty((0, dim, dim), dtype=np.complex128)
+    if len(stack) == 0:
+        raise ValueError("operators: need at least one Kraus operator")
+    stack.setflags(write=False)
+    return stack
+
+
 @dataclass(frozen=True)
 class KrausChannel:
     """Completely positive trace-preserving map given by Kraus operators.
 
-    The operators are validated and frozen at construction; ``operators``
-    may be any iterable, and a generator is consumed one operator at a time.
-    They are the channel's only copy: each kernel stacks one transient block
-    of them at a time, small enough that its products stay on the calling
-    thread. A block holds max(1, 65535 // dim**3) operators for matrix
-    products (1023 at dim 4, 15 at dim 16; one from dim 41 on) and
-    max(1, 4095 // dim**2) for the certificate's matrix-vector products.
+    ``operators`` is validated at construction and frozen as one read-only
+    (K, dim, dim) complex128 stack, the channel's only copy (see
+    ``_operator_stack``): a stack that is already read-only, C-ordered,
+    complex128 and owns its data is adopted without a copy. Each kernel
+    reads views of it, one block of operators at a time, small enough that
+    its products stay on the calling thread. A block holds
+    max(1, 65535 // dim**3) operators for matrix products (1023 at dim 4,
+    15 at dim 16; one from dim 41 on) and max(1, 4095 // dim**2) for the
+    certificate's matrix-vector products.
 
     A channel with at least dim**2 operators also caches its superoperator
     S = sum_k K_k (x) conj(K_k), a read-only (dim**2, dim**2) array no
     larger than the operators it sums, with vec(Phi(rho)) = S vec(rho) in
     row-major order; ``apply_channel`` then costs dim**4 per state instead
-    of 2 K dim**3. Building S costs as much as dim / 2 Kraus applications.
-    Smaller channels (a one-operator dim-128 unitary would need a 4.3 GB S)
-    keep blocked Kraus products. The audit's gain form M, computed once, is
-    also cached; an audit's predicted gain is tr(M rho), non-negative on
-    every positive state.
+    of 2 K dim**3. S is built in dim x dim tiles, about dim / 4 Kraus
+    applications' worth of multiply-adds. Smaller channels (a one-operator
+    dim-128 unitary would need a 4.3 GB S) keep blocked Kraus products. The
+    audit's gain form M, computed once, is also cached; an audit's
+    predicted gain is tr(M rho), non-negative on every positive state.
     """
 
     dim: int
-    operators: tuple[np.ndarray, ...]
+    operators: np.ndarray
 
     def __post_init__(self):
         _require_dim(self.dim)
-        ops = []
-        for i, op in enumerate(self.operators):
-            m = as_complex_matrix(op, name=f"operators[{i}]")
-            if m.shape != (self.dim, self.dim):
-                raise ValueError(
-                    f"operators[{i}]: shape {m.shape} does not match dim {self.dim}"
-                )
-            m.setflags(write=False)
-            ops.append(m)
-        if not ops:
-            raise ValueError("operators: need at least one Kraus operator")
-        object.__setattr__(self, "operators", tuple(ops))
+        object.__setattr__(self, "operators", _operator_stack(self.operators, self.dim))
         residual = self.completeness_residual()
         if residual > COMPLETENESS_ATOL:
             raise ValueError(
@@ -96,18 +130,13 @@ class KrausChannel:
                 f"{COMPLETENESS_ATOL}"
             )
 
-    def _operator_blocks(self, per_block: int, axis: int):
-        """Transient stacks of at most ``per_block`` consecutive operators,
-        one at a time, along ``axis``: axis 1 gives (dim, k, dim) arrays
-        with block[:, j] the j-th operator of the block, axis 0 (k, dim,
-        dim) ones."""
+    def _gemm_blocks(self):
+        """(dim, k, dim) views of consecutive operators, block[:, j] the j-th
+        operator of the block, with k = max(1, 65535 // dim**3) so that
+        their products with a dim x dim matrix stay below ``_MATMUL_MNK``."""
+        per_block = max(1, _MATMUL_MNK // self.dim**3)
         for i in range(0, len(self.operators), per_block):
-            yield np.stack(self.operators[i : i + per_block], axis=axis)
-
-    def _gemm_blocks(self, axis: int = 1):
-        """Operator blocks whose products with a dim x dim matrix stay below
-        ``_MATMUL_MNK``."""
-        return self._operator_blocks(max(1, _MATMUL_MNK // self.dim**3), axis)
+            yield self.operators[i : i + per_block].transpose(1, 0, 2)
 
     @cached_property
     def _completeness_residual(self) -> float:
@@ -144,20 +173,42 @@ class KrausChannel:
         """Read-only S = sum_k K_k (x) conj(K_k) when the channel has at
         least dim**2 operators, else None.
 
-        S[(a, b), (c, d)] = sum_k K_k[a, c] conj(K_k[b, d]). For each a, one
-        (dim x k) @ (k x dim**2) product per block gives the entries
-        [c, (b, d)], which are added into S[a] through a transposed view.
+        S[(a, b), (c, d)] = sum_k K_k[a, c] conj(K_k[b, d]). Viewed as
+        [a, b, c, d], tile S[a, b] = K[:, a, :]^T conj(K[:, b, :]) is one
+        (dim x k) @ (k x dim) product per block of k <= 65535 // dim**2
+        operators (255 at dim 16; the blocks are near-equal), written in
+        place. The reshuffled Choi matrix C[(a, c), (b, d)] = S[(a, b),
+        (c, d)] is Hermitian, so only tiles with a <= b are computed and
+        S[b, a] = S[a, b]^H; a diagonal tile gets its lower triangle from
+        its upper one and a real diagonal.
         """
         dim = self.dim
-        if len(self.operators) < dim * dim:
+        ops = self.operators
+        count = len(ops)
+        if count < dim * dim:
             return None
-        sup = np.zeros((dim, dim, dim, dim), dtype=np.complex128)
-        for block in self._gemm_blocks(axis=0):
-            conj_rows = block.conj().reshape(len(block), -1)  # [k, (b, d)]
-            for a in range(dim):
-                product = block[:, a, :].T @ conj_rows
-                entries = sup[a].transpose(1, 0, 2)  # a view, indexed [c, b, d]
-                entries += product.reshape(dim, dim, dim)
+        blocks = -(-count // max(1, _MATMUL_MNK // (dim * dim)))
+        edges = [count * i // blocks for i in range(blocks + 1)]
+        sup = np.empty((dim, dim, dim, dim), dtype=np.complex128)
+        product = np.empty((dim, dim), dtype=np.complex128)
+        for lo, hi in zip(edges, edges[1:]):
+            block = ops[lo:hi]
+            for b in range(dim):
+                conj_rows = block[:, b, :].conj()  # [k, d]
+                for a in range(b + 1):
+                    if lo == 0:
+                        np.matmul(block[:, a, :].T, conj_rows, out=sup[a, b])
+                    else:
+                        np.matmul(block[:, a, :].T, conj_rows, out=product)
+                        sup[a, b] += product
+        lower = np.tril_indices(dim, -1)
+        diagonal = np.arange(dim)
+        for a in range(dim):
+            tile = sup[a, a]
+            tile[lower] = tile.T[lower].conj()
+            tile.imag[diagonal, diagonal] = 0.0
+            for b in range(a + 1, dim):
+                np.conjugate(sup[a, b].T, out=sup[b, a])
         sup = sup.reshape(dim * dim, dim * dim)
         sup.setflags(write=False)
         return sup
@@ -168,7 +219,7 @@ def apply_channel(channel: KrausChannel, rho: DensityOperator) -> DensityOperato
 
     With a cached superoperator S, one matrix-vector product per row block
     of S, each block at most 4095 // dim**2 rows; otherwise two matrix
-    products per block of operators.
+    products per (dim, k, dim) view of the operator stack.
     """
     if rho.dim != channel.dim:
         raise ValueError(
@@ -224,7 +275,8 @@ def texture_free_certificate(channel: KrausChannel) -> FreeChannelCertificate:
     weights = []
     max_residual = 0.0
     per_block = max(1, _MATVEC_MN // dim**2)
-    for block in channel._operator_blocks(per_block, axis=0):
+    for i in range(0, len(channel.operators), per_block):
+        block = channel.operators[i : i + per_block]
         images = (block.reshape(-1, dim) @ f1).reshape(-1, dim)
         block_weights = images @ f1.conj()
         residuals = np.linalg.norm(images - np.outer(block_weights, f1), axis=1)
@@ -239,28 +291,36 @@ def texture_free_certificate(channel: KrausChannel) -> FreeChannelCertificate:
     )
 
 
-def _free_operators_for_target(target: np.ndarray):
-    """Kraus family fixing the uniform ket and steering the second Fourier
-    ket onto ``target``, yielded one operator at a time.
+def _free_operators_for_target(target: np.ndarray, out: np.ndarray) -> None:
+    """Write the Kraus family fixing the uniform ket and steering the second
+    Fourier ket onto ``target`` into ``out``, a (dim**2, dim, dim) slice of
+    an operator stack.
 
-    For each cyclic shift l and phase index n the operator is
-    (1/D) * (P1 + omega^n / sqrt(D) * S_l), where P1 projects onto the
-    uniform ket and S_l couples the shifted target amplitudes to the
-    deviation of each column from the uniform average.
+    For cyclic shift l and phase index n = 1..dim, operator l * dim + n - 1
+    is (1/D) * (P1 + c_n * S_l) with c_n = omega^n / sqrt(D), where P1
+    projects onto the uniform ket and S_l couples the shifted target
+    amplitudes to the deviation of each column from the uniform average.
+    Each shift's dim operators are written at once.
     """
     dim = target.shape[0]
     omega = np.exp(2j * np.pi / dim)
     p1 = np.full((dim, dim), 1.0 / dim, dtype=np.complex128)
     i = np.arange(dim)
     column_phases = omega ** (-i)
+    # One scalar power per n, as the per-operator form took them, so the
+    # operators' bits do not depend on how NumPy rounds an array power.
+    phases = np.array([omega**n / np.sqrt(dim) for n in range(1, dim + 1)])
+    phases = phases[:, None, None]
     for shift in range(dim):
         rows = (i + shift) % dim
         m1 = np.zeros((dim, dim), dtype=np.complex128)
         m1[rows, i] = column_phases * target[rows]
         w = m1.sum(axis=1)
         s = dim * m1 - np.outer(w, np.ones(dim))
-        for n in range(1, dim + 1):
-            yield (p1 + (omega**n / np.sqrt(dim)) * s) / dim
+        family = out[shift * dim : (shift + 1) * dim]
+        np.multiply(phases, s, out=family)
+        family += p1
+        family /= dim
 
 
 def build_free_channel(dim: int, target) -> KrausChannel:
@@ -271,7 +331,10 @@ def build_free_channel(dim: int, target) -> KrausChannel:
     target = as_ket(target, name="target")
     if target.shape != (dim,):
         raise ValueError(f"target: expected length {dim}, got {target.shape}")
-    return KrausChannel(dim=dim, operators=_free_operators_for_target(target))
+    operators = np.empty((dim * dim, dim, dim), dtype=np.complex128)
+    _free_operators_for_target(target, operators)
+    operators.setflags(write=False)
+    return KrausChannel(dim=dim, operators=operators)
 
 
 def build_free_channel_mixed(dim: int, ensemble) -> KrausChannel:
@@ -279,7 +342,8 @@ def build_free_channel_mixed(dim: int, ensemble) -> KrausChannel:
     sum_k q_k |psi_k><psi_k|.
 
     ``ensemble`` is a sequence of (weight, ket) pairs with weights summing to
-    one; each component's operator family is scaled by sqrt(weight).
+    one; each component's operator family is written into one stack and
+    scaled in place by sqrt(weight).
     """
     _require_dim(dim)
     pairs = [(float(q), as_ket(psi, name=f"ensemble[{k}] ket")) for k, (q, psi) in enumerate(ensemble)]
@@ -296,9 +360,13 @@ def build_free_channel_mixed(dim: int, ensemble) -> KrausChannel:
             raise ValueError(f"ensemble: negative weight {q!r}")
         if psi.shape != (dim,):
             raise ValueError(f"ensemble: ket length {psi.shape} does not match dim {dim}")
-    operators = (
-        np.sqrt(q) * op for q, psi in pairs for op in _free_operators_for_target(psi)
-    )
+    size = dim * dim
+    operators = np.empty((len(pairs) * size, dim, dim), dtype=np.complex128)
+    for k, (q, psi) in enumerate(pairs):
+        family = operators[k * size : (k + 1) * size]
+        _free_operators_for_target(psi, family)
+        family *= np.sqrt(q)
+    operators.setflags(write=False)
     return KrausChannel(dim=dim, operators=operators)
 
 

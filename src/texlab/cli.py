@@ -192,6 +192,8 @@ def _parse_grid(spec: str) -> list[float]:
         count = int(parts[2])
     except ValueError:
         raise ValueError(f"--grid: expected 'start:stop:count', got {spec!r}") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"--grid: start and stop must be finite, got {spec!r}")
     if count < 1:
         raise ValueError(f"--grid: count must be positive, got {count}")
     return [float(x) for x in np.linspace(start, stop, count)]

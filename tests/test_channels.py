@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from texlab.channels import (
+    _MATMUL_MNK,
     KrausChannel,
     apply_channel,
     build_free_channel,
@@ -48,6 +51,20 @@ def test_kraus_channel_validation():
         KrausChannel(dim=2, operators=())
     with pytest.raises(ValueError, match="operators\\[0\\]"):
         KrausChannel(dim=2, operators=(np.eye(3),))
+    # A stack is checked in one pass; errors still name the operator.
+    eye = np.eye(2, dtype=np.complex128)
+    stack = np.stack([eye * np.sqrt(0.5), eye * np.sqrt(0.5), eye * 0.0])
+    stack[2, 1, 0] = np.nan
+    with pytest.raises(ValueError, match=r"^operators\[2\]: entries must be finite$"):
+        KrausChannel(dim=2, operators=stack)
+    with pytest.raises(ValueError, match=r"^operators\[1\]: entries must be finite$"):
+        KrausChannel(dim=2, operators=[eye, stack[2]])
+    with pytest.raises(ValueError, match=r"^operators\[0\]: shape \(3, 3\) does not match dim 2$"):
+        KrausChannel(dim=2, operators=np.eye(3)[None])
+    with pytest.raises(ValueError, match=r"^operators: expected a \(K, 2, 2\) stack"):
+        KrausChannel(dim=2, operators=eye)
+    with pytest.raises(ValueError, match="need at least one Kraus operator"):
+        KrausChannel(dim=2, operators=np.empty((0, 2, 2)))
 
 
 def test_apply_channel_identity_and_dim_check():
@@ -379,3 +396,112 @@ def test_audit_gain_identity_holds_on_non_positive_inputs():
     rho = DensityOperator(frame @ np.diag([0.7, 0.5, -0.2]) @ frame.conj().T)
     audit = monotonicity_audit(ch, rho)
     assert audit.gain_residual <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the operator stack and the tiled superoperator
+
+
+def _former_free_operators_for_target(target: np.ndarray):
+    # The former one-operator-at-a-time generator, kept verbatim as an
+    # exact oracle for the stack builders.
+    dim = target.shape[0]
+    omega = np.exp(2j * np.pi / dim)
+    p1 = np.full((dim, dim), 1.0 / dim, dtype=np.complex128)
+    i = np.arange(dim)
+    column_phases = omega ** (-i)
+    for shift in range(dim):
+        rows = (i + shift) % dim
+        m1 = np.zeros((dim, dim), dtype=np.complex128)
+        m1[rows, i] = column_phases * target[rows]
+        w = m1.sum(axis=1)
+        s = dim * m1 - np.outer(w, np.ones(dim))
+        for n in range(1, dim + 1):
+            yield (p1 + (omega**n / np.sqrt(dim)) * s) / dim
+
+
+@pytest.mark.parametrize("dim", range(1, 17))
+def test_free_operator_stacks_are_bit_identical_to_the_former_generator(dim):
+    rng = np.random.default_rng(1000 + dim)
+    target = _random_ket(rng, dim)
+    pure = build_free_channel(dim, target)
+    want = np.stack(list(_former_free_operators_for_target(target)))
+    assert pure.operators.shape == (dim * dim, dim, dim)
+    assert pure.operators.tobytes() == want.tobytes()
+    q = float(rng.uniform(0.1, 0.9))
+    ensemble = [(0.0, _random_ket(rng, dim)), (q, _random_ket(rng, dim))]
+    ensemble.append((1.0 - q, _random_ket(rng, dim)))
+    mixed = build_free_channel_mixed(dim, ensemble)
+    want = np.stack(
+        [
+            np.sqrt(w) * op
+            for w, psi in ensemble
+            for op in _former_free_operators_for_target(psi)
+        ]
+    )
+    assert mixed.operators.tobytes() == want.tobytes()
+
+
+def test_operator_stack_is_adopted_only_when_frozen_and_owned():
+    rng = np.random.default_rng(61)
+    stack = rng.normal(size=(1, 3, 3)) + 1j * rng.normal(size=(1, 3, 3))
+    stack = np.linalg.qr(stack[0])[0][None].copy()
+    stack.setflags(write=False)
+    assert KrausChannel(dim=3, operators=stack).operators is stack
+    writable = stack.copy()
+    ch = KrausChannel(dim=3, operators=writable)
+    assert ch.operators is not writable
+    assert not ch.operators.flags.writeable
+    writable[0, 0, 0] = 7.0  # the channel holds its own copy
+    assert ch.operators.tobytes() == stack.tobytes()
+    for other in (stack[:, :, ::-1], list(stack), iter(stack)):
+        ch = KrausChannel(dim=3, operators=other)
+        assert ch.operators.dtype == np.complex128
+        assert ch.operators.flags.c_contiguous and not ch.operators.flags.writeable
+        assert ch.operators.shape == (1, 3, 3)
+
+
+def _superoperator_channels(rng):
+    """Free channels at dims 2-8 and 16, pure and mixed, and a random
+    channel at dim 16 whose operators span two blocks of S tiles."""
+    channels = []
+    for dim in (*range(2, 9), 16):
+        channels.append(build_free_channel(dim, _random_ket(rng, dim)))
+        q = float(rng.uniform(0.2, 0.8))
+        ensemble = [(q, _random_ket(rng, dim)), (1.0 - q, _random_ket(rng, dim))]
+        channels.append(build_free_channel_mixed(dim, ensemble))
+    channels.append(_random_channel(rng, 16, 300))
+    return channels
+
+
+def test_tiled_superoperator_matches_kron_sum_and_is_choi_hermitian():
+    rng = np.random.default_rng(62)
+    channels = _superoperator_channels(rng)
+    per_block = _MATMUL_MNK // 16**2
+    assert len(channels[-1].operators) > per_block
+    for ch in channels:
+        dim = ch.dim
+        sup = ch._superoperator
+        want = sum(np.kron(op, op.conj()) for op in ch.operators)
+        np.testing.assert_allclose(sup, want, rtol=0, atol=1e-14)
+        # S[(a, b), (c, d)] == conj S[(b, a), (d, c)], bit for bit.
+        tiles = sup.reshape(dim, dim, dim, dim)
+        assert np.array_equal(tiles, tiles.transpose(1, 0, 3, 2).conj())
+
+
+def test_mixed_dim16_audit_job_peak_memory():
+    # Build, certificate and 50 audits of a dim-16 mixed channel hold its
+    # 512-operator stack (2 MiB) and S (1 MiB); every kernel's transient
+    # arrays fit in the remaining quarter MiB.
+    rng = np.random.default_rng(63)
+    ensemble = [(0.3, _random_ket(rng, 16)), (0.7, _random_ket(rng, 16))]
+    tracemalloc.start()
+    try:
+        ch = build_free_channel_mixed(16, ensemble)
+        texture_free_certificate(ch)
+        for _ in range(50):
+            monotonicity_audit(ch, _random_density(rng, 16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * 2**20

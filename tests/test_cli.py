@@ -344,6 +344,17 @@ def test_paramagnet_grid_validation(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("spec", ["0:inf:3", "nan:1:3", "-inf:0:2", "0:nan:1"])
+def test_paramagnet_grid_rejects_non_finite_ends(spec, capsys):
+    # A non-finite end is the grid's fault, not the quadrature's: the error
+    # names --grid, and NumPy's linspace never sees it (tier-1 turns its
+    # RuntimeWarning into an error).
+    assert main(["paramagnet", f"--grid={spec}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --grid: start and stop must be finite")
+    assert "x:" not in err
+
+
 def test_paramagnet_defaults_come_from_the_library(capsys):
     # The default grid is 0:5:26 and the quadrature runs the library's one
     # rule, whose tolerance the report states.
