@@ -20,7 +20,7 @@ The combined deviation of a CNOT pair is bounded below by 1/9, so a
 threshold test detects every CNOT. The pooled averages, read in a fixed
 order (signature clusters, then groups of exact means, each read directly
 and reversed), invert to small families of candidate bases; deterministic
-probe runs polish the candidates to machine precision, select the
+probe runs read each candidate's exact axis off the CNOT outputs, select the
 consistent ones of the first reading that has any, pair controls with
 targets, pin the remaining physical phase of the basis, and classify the
 single-qubit gates against the dictionary {I, H, T, S}.
@@ -67,9 +67,9 @@ GATE_MATCH_ATOL = 1e-8
 #: as "hidden basis coincides with the computational one up to relabeling".
 DEGENERACY_FLOOR = 0.01
 
-#: Minimum squared overlap between a candidate and its polished fixed point.
-#: The spurious fixed rays of a CNOT sit at squared overlap 1/2 from the true
-#: basis ket, so 0.7 separates refinement from capture by a wrong fixed point.
+#: Minimum squared overlap between a candidate and an axis its polish reads.
+#: A target yields the gauge partner's axis, at squared overlap 1/2 from the
+#: control's, so 0.7 separates the candidate's own axis from its partner's.
 BASIN_MIN_OVERLAP = 0.7
 
 #: Note of a report whose candidates come from the exact-mean pooling.
@@ -573,44 +573,43 @@ def _polish_candidate(
     probe_tracks,
     required_tracks,
 ) -> np.ndarray | None:
-    """Refine a candidate |+> ket to a fixed point of the layer's probes.
+    """Read a candidate's |+> ket off one probe run of the layer.
 
-    Feeding a candidate's Bloch row into all tracks and replacing it with
-    the Bloch direction of a CNOT control output contracts quadratically
-    onto the true |+>; target and identity tracks do not contract, so the
-    probe tracks are tried in turn and a result is accepted only if the
-    iteration converges (an output of zero Bloch length does not), stays
-    inside the candidate's own basin (squared overlap >= 0.7 with the
-    start), and then reaches fidelity PASS_FIDELITY on every required
-    track. Only the first probe track of each role (kind, side) is tried: a
-    later track of that role gets a bit-identical output for the same
-    input, so it would repeat the trajectory and both checks bit for bit.
+    All tracks get h, the candidate's |+> tilted 45 degrees toward its
+    (|+>+|->)/sqrt(2). A CNOT control outputs o = x h + z (1 - x) e, with e
+    the true |+> axis, z = h . e and x h's true (|+>+|->)/sqrt(2) component:
+    o - h is orthogonal to e, so h less its projection on o - h is z e. A
+    target gives its gauge partner's axis alike. Each probe track's axis,
+    signed toward the candidate, is tried once in probe order (one role's
+    tracks give bit-identical axes): if it lies in the candidate's basin and
+    passes every required track, one step to its probe output's direction
+    squares its error. A zero step, or an axis of zero signed length, gives none.
     """
     n = layer.num_tracks
-    start = _probe_rows(_frame(basis))[0]
-    tried: set[int] = set()
-    for probe in probe_tracks:
-        role = int(layer.transfer.role[probe])
-        if role in tried:
+    frame = _frame(basis)
+    start = _probe_rows(frame)[0]
+    h = (frame[1:, 3] + frame[1:, 1]) / math.sqrt(2.0)
+    outs = run_layer_with_inputs(layer, np.tile([1.0, *h], (n, 1)), tracks=probe_tracks)
+    tried: set[bytes] = set()
+    for probe, out in zip(probe_tracks, outs):
+        step = out[1:] - h
+        if not step.any():
             continue
-        tried.add(role)
-        row, step = start, 1.0
-        for _ in range(60):
-            out = run_layer_with_inputs(layer, np.tile(row, (n, 1)), tracks=[probe])[0]
-            length = np.linalg.norm(out[1:])
-            if length == 0.0:  # no direction: stop with the last step unconverged
-                break
-            new = np.concatenate(([1.0], out[1:] / length))
-            step, row = np.linalg.norm(new - row), new
-            if step < 2e-13:
-                break
-        if step >= 2e-13 or start @ row / 2.0 < BASIN_MIN_OVERLAP:
+        step /= np.linalg.norm(step)
+        axis = h - (h @ step) * step
+        length = np.linalg.norm(axis) * np.sign(axis @ start[1:])
+        if length == 0.0:
             continue
-        outs = run_layer_with_inputs(layer, np.tile(row, (n, 1)), tracks=required_tracks)
-        if np.einsum("ta,a->t", outs, row).min() / 2.0 >= PASS_FIDELITY:
-            # (1 + x X + y Y + z Z)|+> = 2|v><v|+>: the ket |v> of ``row``,
-            # phased so <+|v> > 0.
-            (_one, x, y, z), (a, b) = row, basis.plus_ket()
+        row = np.concatenate(([1.0], axis / length))
+        if row.tobytes() in tried or start @ row / 2.0 < BASIN_MIN_OVERLAP:
+            continue
+        tried.add(row.tobytes())
+        tracks = np.append(required_tracks, probe)
+        test = run_layer_with_inputs(layer, np.tile(row, (n, 1)), tracks=tracks)
+        if np.einsum("ta,a->t", test[:-1], row).min() / 2.0 >= PASS_FIDELITY:
+            # (1 + x X + y Y + z Z)|+> = 2|v><v|+>: the ket |v> of the probe
+            # output's direction, phased so <+|v> > 0.
+            (x, y, z), (a, b) = test[-1, 1:] / np.linalg.norm(test[-1, 1:]), basis.plus_ket()
             v = np.array([(1.0 + z) * a + (x - 1j * y) * b, (x + 1j * y) * a + (1.0 - z) * b])
             return v / np.linalg.norm(v)
     return None

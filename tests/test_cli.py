@@ -5,10 +5,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import texlab.cli
 from texlab.channels import KrausChannel, build_free_channel, channel_to_json_dict
 from texlab.cli import main
 from texlab.paramagnet import RTOL, paramagnet_report
@@ -362,6 +366,20 @@ def test_paramagnet_defaults_come_from_the_library(capsys):
     want = paramagnet_report([float(x) for x in np.linspace(0.0, 5.0, 26)])
     assert capsys.readouterr().out == dumps_canonical(want)
     assert want["rtol"] == RTOL
+
+
+def test_module_run_writes_the_report(capsys):
+    # ``python -m texlab.cli`` runs the command, as the installed entry
+    # point does, and writes the same bytes.
+    src = os.path.dirname(os.path.dirname(texlab.cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "texlab.cli", "paramagnet", "--grid", "0:1:3"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert main(["paramagnet", "--grid", "0:1:3"]) == 0
+    assert done.stdout and done.stdout == capsys.readouterr().out
 
 
 def test_layer_gen_validation_error(capsys):

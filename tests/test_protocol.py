@@ -38,8 +38,10 @@ from texlab.protocol import (
     ProtocolReport,
     TrackStats,
     _block_grams,
+    _frame,
     _gauge_partner,
     _polish_candidate,
+    _probe_rows,
     _role_forms,
     _trial_features,
     _trial_probabilities,
@@ -829,11 +831,12 @@ def _every_track_polish(layer, basis, probe_tracks, required_tracks):
 
 
 def test_disambiguate_matches_the_every_track_polish_bit_for_bit(monkeypatch):
-    # Polish tries one probe track per role; the every-track polish tries
-    # them all, bit for bit, and the former ket polish reaches the same rays
-    # to rounding. Layers carry up to five CNOT pairs, and a random share of
-    # their single-qubit tracks is passed as ambiguous, so roles repeat
-    # among the probe tracks on most layers.
+    # Polish tries each bit-distinct axis of one run over all probe tracks
+    # once; the every-track polish runs each probe track on its own, bit
+    # for bit, and the former ket polish reaches the same rays to rounding.
+    # Layers carry up to five CNOT pairs, and a random share of their
+    # single-qubit tracks is passed as ambiguous, so roles, and with them
+    # axes, repeat among the probe tracks on most layers.
     rng = np.random.default_rng(89)
     repeated_roles = 0
     survivors_seen = 0
@@ -871,13 +874,8 @@ def test_disambiguate_matches_the_every_track_polish_bit_for_bit(monkeypatch):
     assert survivors_seen >= 120
 
 
-def test_polish_gives_up_without_a_warning_on_a_maximally_mixed_output(monkeypatch):
-    # The control of a CNOT fed (|+>+i|->)/sqrt(2) of its own frame on both
-    # tracks ends maximally mixed: its output has no Bloch direction, so the
-    # iteration stops after one probe run instead of dividing by zero.
-    basis = QubitBasis.computational()
-    layer = CircuitLayer(num_tracks=3, hidden_basis=basis, gates=(CnotGate(2, 0),))
-    cand = QubitBasis.from_plus_ket((basis.plus_ket() + 1j * basis.minus_ket()) * SQ2)
+def _counting_probe_runs(monkeypatch) -> list:
+    """Patch ``protocol.run_layer_with_inputs`` to record each run's output."""
     runs = []
     simulate = protocol.run_layer_with_inputs
 
@@ -887,11 +885,128 @@ def test_polish_gives_up_without_a_warning_on_a_maximally_mixed_output(monkeypat
         return out
 
     monkeypatch.setattr(protocol, "run_layer_with_inputs", counted)
+    return runs
+
+
+def test_polish_gives_up_without_a_warning_on_a_maximally_mixed_output(monkeypatch):
+    # This candidate's |+> tilted toward its (|+>+|->)/sqrt(2) axis is
+    # exactly (|+>+i|->)/sqrt(2) of the hidden frame. Fed it on both tracks,
+    # the CNOT's control and target end maximally mixed: the step is minus
+    # the input, so no axis remains, and the polish gives up after its one
+    # run instead of dividing by zero.
+    basis = QubitBasis.computational()
+    layer = CircuitLayer(num_tracks=3, hidden_basis=basis, gates=(CnotGate(2, 0),))
+    cand = QubitBasis(
+        alpha=(1 + 1j) * SQ2 * math.cos(math.pi / 8), beta=(-1 + 1j) * SQ2 * math.sin(math.pi / 8)
+    )
+    runs = _counting_probe_runs(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _polish_candidate(layer, cand, [2], [2, 0]) is None
+        assert _polish_candidate(layer, cand, [2, 0], [2, 0]) is None
     assert len(runs) == 1
-    np.testing.assert_array_equal(runs[0], [[1.0, 0.0, 0.0, 0.0]])
+    np.testing.assert_array_equal(runs[0], [[1.0, 0.0, 0.0, 0.0]] * 2)
+
+
+@pytest.mark.parametrize("distance", [0.0, 1e-12, 1e-6, 1e-3, 0.1])
+@pytest.mark.parametrize("side", ["control", "target"])
+def test_polish_reads_the_ket_off_two_probe_runs(distance, side, monkeypatch):
+    # A control gives the hidden |+>, a target its gauge partner's |+'>,
+    # from one run over the probe tracks and one product test, to rounding,
+    # wherever the candidate starts in its basin. The iterative polish
+    # needed one run more per halving of the error's exponent. Feeding the
+    # candidate itself instead of its tilt would give no step at distance 0.
+    rng = np.random.default_rng(91)
+    for _ in range(10):
+        basis = _random_basis(rng)
+        layer = CircuitLayer(
+            num_tracks=3,
+            hidden_basis=basis,
+            gates=(CnotGate(control=0, target=1), SingleGate(kind=GateKind.T, track=2)),
+        )
+        truth = basis if side == "control" else _gauge_partner(basis)
+        plus, minus = truth.plus_ket(), truth.minus_ket()
+        cand = QubitBasis.from_plus_ket(
+            math.cos(distance) * plus + math.sin(distance) * cmath.exp(0.3j) * minus
+        )
+        with monkeypatch.context() as m:
+            runs = _counting_probe_runs(m)
+            v = _polish_candidate(layer, cand, [0 if side == "control" else 1], [0, 1])
+        assert len(runs) == 2
+        assert _phase_distance(v, plus) <= 1e-15
+
+
+def _fixed_point_polish(layer, basis, probe_tracks, required_tracks):
+    # The former polish, kept verbatim as an oracle: a fixed-point
+    # iteration on the Bloch direction of one probe track's output, tried
+    # once per role.
+    n = layer.num_tracks
+    start = _probe_rows(_frame(basis))[0]
+    tried: set[int] = set()
+    for probe in probe_tracks:
+        role = int(layer.transfer.role[probe])
+        if role in tried:
+            continue
+        tried.add(role)
+        row, step = start, 1.0
+        for _ in range(60):
+            out = run_layer_with_inputs(layer, np.tile(row, (n, 1)), tracks=[probe])[0]
+            length = np.linalg.norm(out[1:])
+            if length == 0.0:  # no direction: stop with the last step unconverged
+                break
+            new = np.concatenate(([1.0], out[1:] / length))
+            step, row = np.linalg.norm(new - row), new
+            if step < 2e-13:
+                break
+        if step >= 2e-13 or start @ row / 2.0 < BASIN_MIN_OVERLAP:
+            continue
+        outs = run_layer_with_inputs(layer, np.tile(row, (n, 1)), tracks=required_tracks)
+        if np.einsum("ta,a->t", outs, row).min() / 2.0 >= PASS_FIDELITY:
+            # (1 + x X + y Y + z Z)|+> = 2|v><v|+>: the ket |v> of ``row``,
+            # phased so <+|v> > 0.
+            (_one, x, y, z), (a, b) = row, basis.plus_ket()
+            v = np.array([(1.0 + z) * a + (x - 1j * y) * b, (x + 1j * y) * a + (1.0 - z) * b])
+            return v / np.linalg.norm(v)
+    return None
+
+
+def test_sweep_decisions_match_the_fixed_point_polish(monkeypatch):
+    # 2-12 tracks, every fourth layer all-CNOT, min_component 0 or 0.15,
+    # 500 to 2000 trials, 1000 shots on about a third.
+    gen = np.random.default_rng(2611)
+    full = shots_seen = all_cnot = 0
+    for index in range(120):
+        n = int(gen.integers(2, 13))
+        cnots = n // 2 if index % 4 == 0 else int(gen.integers(1, n // 2 + 1))
+        layer = random_layer(
+            num_tracks=n,
+            num_cnots=cnots,
+            seed=int(gen.integers(2**63)),
+            min_component=float(gen.choice([0.0, 0.15])),
+        )
+        shots = 1000 if gen.random() < 0.35 else None
+        trials = int(gen.choice([500, 1000, 2000]))
+        kwargs = dict(seed=int(gen.integers(2**63)), trials=trials, shots=shots)
+        got = identify_layer(layer, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(protocol, "_polish_candidate", _fixed_point_polish)
+            want = identify_layer(layer, **kwargs)
+        where = (index, n, cnots, kwargs)
+        assert got.status == want.status, where
+        assert got.cnot_pairs == want.cnot_pairs, where
+        assert got.gates == want.gates, where
+        assert got.notes == want.notes, where
+        assert len(got.candidates) == len(want.candidates), where
+        assert (got.selected is None) == (want.selected is None), where
+        pairs = list(zip(got.candidates, want.candidates))
+        if got.selected is not None:
+            pairs.append((got.selected, want.selected))
+        for a, b in pairs:
+            a, b = a.basis, b.basis
+            assert max(abs(a.alpha - b.alpha), abs(a.beta - b.beta)) <= 1e-15, where
+        full += got.status == "full"
+        shots_seen += shots is not None
+        all_cnot += 2 * cnots == n
+    assert full >= 60 and shots_seen >= 30 and all_cnot >= 30
 
 
 def test_pairing_probe_finds_pairs_in_any_probe_order():
@@ -1464,13 +1579,17 @@ def test_derived_partner_of_a_lone_partner_survivor_is_full(layer_kwargs, identi
 
 def test_seeded_sweep_never_raises_or_claims_a_wrong_full():
     # Few tracks, min_component 0, shot noise and low trial counts. At seed
-    # 7 the earlier pipeline raised on five of these layers.
+    # 7 the earlier pipeline raised on five of these layers. The outcome
+    # table is pinned cell by cell: a change that moves a count records the
+    # old and new counts.
     gen = np.random.default_rng(7)
+    outcomes = {}
     for _ in range(150):
         n = int(gen.integers(2, 13))
+        cnots = int(gen.integers(1, n // 2 + 1))
         layer = random_layer(
             num_tracks=n,
-            num_cnots=int(gen.integers(1, n // 2 + 1)),
+            num_cnots=cnots,
             seed=int(gen.integers(2**63)),
             min_component=float(gen.choice([0.0, 0.15])),
         )
@@ -1484,24 +1603,30 @@ def test_seeded_sweep_never_raises_or_claims_a_wrong_full():
             _assert_full_and_true(layer, report)
         else:
             assert report.notes
+        cell = ("all-CNOT" if 2 * cnots == n else "mixed", report.status)
+        outcomes[cell] = outcomes.get(cell, 0) + 1
+    assert outcomes == {
+        ("mixed", "full"): 113,
+        ("mixed", "partial"): 5,
+        ("all-CNOT", "partial"): 32,
+    }
 
 
-#: SHA-256 of the canonical report bytes of fixed layers. The digests were
-#: last recorded for report format 0.3.0, whose candidates hold only
-#: ``alpha`` and ``beta``: every digest moved through ``version``, and the
-#: clean layers' also through the two candidate keys dropped; every other
-#: byte was kept. A change that moves any of these bytes must record why,
+#: SHA-256 of the canonical report bytes of fixed layers, in report format
+#: 0.3.0. The clean layers' digests were last recorded for the closed-form
+#: polish, which moved candidate and selected floats in their last bits and
+#: no other byte. A change that moves any of these bytes must record why,
 #: and the old and new digests.
 PINNED_REPORTS = {
     "narrow": (
         dict(num_tracks=6, num_cnots=2, seed=31, min_component=0.15),
         dict(seed=41, trials=100_000),
-        "caa2c4bb00b8816d94094b50d992d5f6dbc2b5b5a763a1e5f7c408e51e8556d5",
+        "fd5426c0bf036b8632e7520205e3b8b5998e3946076000cdb5207274533eff80",
     ),
     "48-tracks": (
         dict(num_tracks=48, num_cnots=6, seed=32, min_component=0.15),
         dict(seed=42, trials=50_000),
-        "ae089c03e1fe8b5cb4430e77d8090877ea4a0194cee2bc8813d4960d57cf0fc3",
+        "4c5a0b58730b457acc0c0ab4f376a84dbc60815b53a14265d7fad937b754d2f5",
     ),
     "noisy-shots": (
         dict(num_tracks=16, num_cnots=2, seed=33, min_component=0.15, noise=(0.05, 0.1)),
@@ -1511,7 +1636,7 @@ PINNED_REPORTS = {
     "clean-shots": (
         dict(num_tracks=8, num_cnots=2, seed=34, min_component=0.2),
         dict(seed=44, trials=100_000, shots=1000),
-        "295847a74cfea2feba324a06baeb90c20afc74a37e76394a93beec8370d10ad1",
+        "49518c50a4318e04aac01d5e2664ae5c048d1617928df1dfe9a4e3e03fc23fc6",
     ),
 }
 
@@ -1671,10 +1796,10 @@ def test_probe_outputs_match_the_former_simulator():
 #: Report digests of the former kernels (simulator and engine forms) under
 #: today's probe stages; they move only with the stages.
 _FORMER_KERNEL_DIGESTS = {
-    "narrow": "48ee49768018be4d0b70cc9c4c32101276f7fd9d669bd4fe3c321c47f031eeec",
-    "48-tracks": "903234ceab30d622f980d36d2f306966953b021df0c63a0337c63a6a14e79eab",
+    "narrow": "7131ff393ee7a655f306a5d857a669d646f3047e5b711f4f32bf9f8bfc9499ae",
+    "48-tracks": "a5af73af32665eb8d757e8d357c739f5178ea35c4b6e2ec7a60ebf3d2ed21eca",
     "noisy-shots": "65a7365ed16f271925c3c76571ec0599e3be448f6e82136f7fffb306a34c30d4",
-    "clean-shots": "e92e56078c387f411179553105851ea13cabf609e004ee39603a4eacb189d0df",
+    "clean-shots": "873ee965f1ba699edf1ae9806c6b999c798ec908648ecaea07979504939630ad",
 }
 
 
