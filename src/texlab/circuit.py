@@ -27,7 +27,7 @@ import numpy as np
 
 from .linalg import kron
 from .serialize import parse_complex_field, require_integer
-from .states import BLOCH_NORM_SLACK, QubitBasis
+from .states import _PAULI, BLOCH_NORM_SLACK, QubitBasis
 
 __all__ = [
     "GateKind",
@@ -68,10 +68,6 @@ _STANDARD_CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
     dtype=np.complex128,
 )
-
-#: Pauli matrices (I, X, Y, Z): a qubit with Bloch row r = (1, x, y, z) has
-#: density matrix sum_a r_a sigma_a / 2.
-_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 #: Two-track Pauli products: _PAULI_PAIRS[b, c] is sigma_b on track 0 and
 #: sigma_c on track 1.
@@ -220,8 +216,9 @@ class CircuitLayer:
         index: dict[tuple[GateKind, int | None], int] = {}
         role = [index.setdefault(key[t], len(index)) for t in range(self.num_tracks)]
         role = np.array(role, dtype=np.intp)
-        basis = self.hidden_basis
-        tensors = np.array([pauli_transfer(gate_matrix(k, basis), s or 0) for k, s in index])
+        # A CNOT's control and target share one gate matrix.
+        mats = {k: gate_matrix(k, self.hidden_basis) for k in dict.fromkeys(k for k, _ in index)}
+        tensors = np.array([pauli_transfer(mats[k], s or 0) for k, s in index])
         for arr in (tensors, role, partner):
             arr.setflags(write=False)
         return LayerTransfer(tuple(index), tensors, role, partner)
@@ -246,10 +243,13 @@ def run_layer_with_inputs(layer: CircuitLayer, inputs, tracks=None) -> np.ndarra
 
     Probe semantics: noise knobs are ignored, inputs are taken as given.
     ``inputs`` is one real (num_tracks, 4) array of Bloch rows (1, x, y, z),
-    validated once; ``tracks`` (default: all, in order) are evaluated in one
-    contraction with ``layer.transfer``. Returns their read-only
-    (len(tracks), 4) output Bloch rows; one role fed the same inputs gives
-    bit-identical outputs.
+    validated once; a read-only ``np.broadcast_to`` of one row is accepted
+    as it is, without a copy. ``tracks`` (default: all, in order) are
+    evaluated in one contraction with ``layer.transfer``; an integer array
+    of them (``np.intp`` needs no conversion) is checked in one pass, any
+    other iterable entry by entry. Returns their read-only (len(tracks), 4)
+    output Bloch rows; one role fed the same inputs gives bit-identical
+    outputs.
     """
     rows = _input_rows(inputs, layer.num_tracks)
     if tracks is None:
@@ -257,8 +257,9 @@ def run_layer_with_inputs(layer: CircuitLayer, inputs, tracks=None) -> np.ndarra
     else:
         tracks = _check_tracks(tracks, layer.num_tracks, name="tracks")
     transfer = layer.transfer
-    joint = rows[tracks, :, None] * rows[transfer.partner[tracks], None, :]
-    tensors = transfer.tensors[transfer.role[tracks]].reshape(-1, 4, 16)
+    partners = transfer.partner.take(tracks)
+    joint = rows.take(tracks, axis=0)[:, :, None] * rows.take(partners, axis=0)[:, None, :]
+    tensors = transfer.tensors.take(transfer.role.take(tracks), axis=0).reshape(-1, 4, 16)
     out = np.einsum("tak,tk->ta", tensors, joint.reshape(-1, 16))
     out.setflags(write=False)
     return out

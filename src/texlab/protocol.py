@@ -51,7 +51,7 @@ from .circuit import (
 # and fails without it. The wrapping goes with ROADMAP item 6.
 from .linalg import principal_eigenvector  # noqa: F401
 from .serialize import ARTIFACT_VERSION, dumps_csv, require_integer
-from .states import QubitBasis, basis_distance
+from .states import QubitBasis, _bloch_frame, basis_distance
 
 DEFAULT_TRIALS = 100_000
 DEFAULT_TAU = 0.05
@@ -86,8 +86,8 @@ _SHOT_TAG = 0x53484F54
 _BLOCK = 512
 
 #: Gram blocks whose features one pass of the trial engine builds: 8192
-#: trials, 0.65 MB of features. It bounds the engine's working memory only;
-#: no result depends on it.
+#: trials, 0.65 MB of features. It bounds the features' working memory
+#: only; no result depends on it.
 _CHUNK_BLOCKS = 16
 
 #: Bloch rows reading a qubit's (computational, Fourier) grand sums, 1 + x and 1 + z.
@@ -105,6 +105,9 @@ _PROBES = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [1, 1, 0, 0], [1, 0, 1, 0]], dt
 _STANDARD_TRANSFER = np.array(
     [pauli_transfer(standard_gate_matrix(kind))[:, :, 0] for kind in _SINGLE_KINDS]
 )
+
+#: Transfer tensor of the identity, which a dropped-out CNOT acts as.
+_IDENTITY_TRANSFER = pauli_transfer(np.eye(2))
 
 
 class IdentificationError(RuntimeError):
@@ -232,10 +235,10 @@ def run_protocol(
     forms = _role_forms(layer)
     rows = [2 * int(i) for i in transfer.role]
     if shots is None:
-        # Python's sum adds the blocks left to right, in trial order: the
-        # Gram of a run's first T trials, T a multiple of ``_BLOCK``, is bit
-        # for bit that of a T-trial run.
-        gram = sum(_block_grams(seed, trials))
+        # The reduction over the first axis adds the blocks left to right,
+        # in trial order: the Gram of a run's first T trials, T a multiple
+        # of ``_BLOCK``, is bit for bit that of a T-trial run.
+        gram = np.add.reduce(_block_grams(seed, trials), axis=0)
         mean = gram[0] / trials
         means = forms @ mean
         stderr = np.zeros(len(forms))
@@ -322,11 +325,16 @@ def _trial_features(seed: int, trials: int):
         yield feats[:, :used].reshape(10, -1, _BLOCK).transpose(1, 0, 2)
 
 
-def _block_grams(seed: int, trials: int):
-    """Yield the sum of f f^T over each block of ``_BLOCK`` trials, in trial
-    order, f a trial's features: one product per block."""
+def _block_grams(seed: int, trials: int) -> np.ndarray:
+    """(blocks, 10, 10) sums of f f^T over each block of ``_BLOCK`` trials,
+    in trial order, f a trial's features: one product per block, written
+    straight into its slot (800 bytes per block, 0.16 MB at 100k trials)."""
+    grams = np.empty((-(-trials // _BLOCK), 10, 10))
+    start = 0
     for feats in _trial_features(seed, trials):
-        yield from np.matmul(feats, feats.transpose(0, 2, 1))
+        np.matmul(feats, feats.transpose(0, 2, 1), out=grams[start : start + len(feats)])
+        start += len(feats)
+    return grams
 
 
 def _trial_probabilities(forms: np.ndarray, seed: int, trials: int) -> np.ndarray:
@@ -359,22 +367,26 @@ def _role_forms(layer: CircuitLayer) -> np.ndarray:
     transfer = layer.transfer
     drop = np.array([q if kind is GateKind.CNOT else 0.0 for kind, _ in transfer.roles])
     drop = drop.reshape(-1, 1, 1, 1)
-    tensors = (1.0 - p) * ((1.0 - drop) * transfer.tensors + drop * pauli_transfer(np.eye(2)))
-    rot = _frame(layer.hidden_basis)
+    tensors = (1.0 - p) * ((1.0 - drop) * transfer.tensors + drop * _IDENTITY_TRANSFER)
+    # Built, not kept on the layer's basis: a caller may hold many layers.
+    rot = _bloch_frame(layer.hidden_basis)
     quad = rot.T @ np.einsum("ra,kabc->krbc", _READOUT, tensors) @ rot
     forms = np.einsum("krde,dej->krj", quad, _FOLD).reshape(-1, 10)
     forms[:, 0] += p
     return forms
 
 
-def _frame(basis: QubitBasis) -> np.ndarray:
-    """Bloch rotation of ``basis``: computational row = frame @ hidden row."""
-    return pauli_transfer(basis.matrix())[:, :, 0]
+def _tiled(row: np.ndarray, n: int) -> np.ndarray:
+    """(n, 4) input rows, each a copy of ``row``."""
+    rows = np.empty((n, 4))
+    rows[:] = row
+    return rows
 
 
 def _probe_rows(frame: np.ndarray) -> np.ndarray:
     """Computational Bloch rows of the ``_PROBES`` states of the basis whose
-    ``_frame`` is ``frame``: its columns f0 + f3, f0 - f3, f0 + f1 and f0 + f2."""
+    ``QubitBasis._frame`` is ``frame``: its columns f0 + f3, f0 - f3, f0 + f1
+    and f0 + f2."""
     rows = _PROBES @ frame.T
     rows[:, 0] = 1.0  # f0 is (1, 0, 0, 0) up to rounding
     return rows
@@ -486,29 +498,38 @@ def recover_basis(averages, stderr: float = 0.0) -> list[CandidateBasis]:
     cos_c_abs = math.sqrt(min(1.0, max(0.0, ((x - yt) + radius) / den_c)))
     sin_l_abs = math.sqrt(max(0.0, 1.0 - cos_l**2))
     sin_c_abs = math.sqrt(max(0.0, 1.0 - cos_c_abs**2))
-    scored: list[tuple[float, CandidateBasis]] = []
-    for s_cc in (1, -1):
-        for s_sl in (1, -1):
-            for s_sc in (1, -1):
-                alpha = mag_a * complex(cos_l, s_sl * sin_l_abs)
-                beta = mag_b * complex(s_cc * cos_c_abs, s_sc * sin_c_abs)
-                basis = QubitBasis(alpha=alpha, beta=beta)
-                px, pxt, py, pyt = expected_averages(basis)
-                err = max(abs(px - x), abs(pxt - xt), abs(py - y), abs(pyt - yt))
-                scored.append((err, CandidateBasis(basis)))
+    # The eight sign choices (s_cc, s_sl, s_sc), each sign 1 then -1, the
+    # last varying fastest. Their amplitudes are Python complex products;
+    # their averages are those of ``expected_averages``, bit for bit, for all
+    # eight at once. |alpha| and |beta|, and so Y~, are the same for every
+    # choice, and Y~ is computed as a scalar there.
+    signs = [(s_cc, s_sl, s_sc) for s_cc in (1, -1) for s_sl in (1, -1) for s_sc in (1, -1)]
+    alphas = [mag_a * complex(cos_l, s_sl * sin_l_abs) for _, s_sl, _ in signs]
+    betas = [mag_b * complex(s_cc * cos_c_abs, s_sc * sin_c_abs) for s_cc, _, s_sc in signs]
+    a, b = np.array(alphas), np.array(betas)
+    pyt = 1.0 + (np.abs(a[0]) ** 2 - np.abs(b[0]) ** 2) / 3.0
+    err = np.max(
+        np.abs([
+            1.0 - ((a**2).real - (b**2).real) / 3.0 - x,
+            1.0 + 2.0 * (np.conj(a) * b).real / 3.0 - xt,
+            1.0 + 2.0 * (a * b).real / 3.0 - y,
+            np.full(8, pyt - yt),
+        ]),
+        axis=0,
+    ).tolist()
     # The inversion amplifies measurement noise by roughly 1/min(|alpha|^2,
     # |beta|^2), so sign combos are pruned relative to the best fit rather
     # than at a fixed multiple of the standard error; downstream probe runs
     # make the rigorous selection.
-    best = min(err for err, _ in scored)
-    keep = max(3.0 * best, tol_fit)
+    keep = max(3.0 * min(err), tol_fit)
     cap = max(12.0 * stderr, 0.05)
     found: list[CandidateBasis] = []
-    for err, cand in scored:
-        if err > keep or err > cap:
+    for e, alpha, beta in zip(err, alphas, betas):
+        if e > keep or e > cap:
             continue
-        if all(basis_distance(cand.basis, other.basis) > 1e-9 for other in found):
-            found.append(cand)
+        basis = QubitBasis(alpha=alpha, beta=beta)
+        if all(basis_distance(basis, other.basis) > 1e-9 for other in found):
+            found.append(CandidateBasis(basis))
     return found
 
 
@@ -579,33 +600,44 @@ def _polish_candidate(
     (|+>+|->)/sqrt(2). A CNOT control outputs o = x h + z (1 - x) e, with e
     the true |+> axis, z = h . e and x h's true (|+>+|->)/sqrt(2) component:
     o - h is orthogonal to e, so h less its projection on o - h is z e. A
-    target gives its gauge partner's axis alike. Each probe track's axis,
-    signed toward the candidate, is tried once in probe order (one role's
-    tracks give bit-identical axes): if it lies in the candidate's basin and
-    passes every required track, one step to its probe output's direction
-    squares its error. A zero step, or an axis of zero signed length, gives none.
+    target gives its gauge partner's axis alike. Each bit-distinct probe
+    output's axis, signed toward the candidate, is tried once in probe order
+    (one role's tracks give bit-identical outputs): if it lies in the
+    candidate's basin and passes every required track, one step to its probe
+    output's direction squares its error. A zero step, or an axis no longer
+    than its rounding, gives none.
     """
     n = layer.num_tracks
-    frame = _frame(basis)
+    frame = basis._frame
     start = _probe_rows(frame)[0]
     h = (frame[1:, 3] + frame[1:, 1]) / math.sqrt(2.0)
-    outs = run_layer_with_inputs(layer, np.tile([1.0, *h], (n, 1)), tracks=probe_tracks)
+    outs = run_layer_with_inputs(layer, _tiled(np.concatenate(([1.0], h)), n), tracks=probe_tracks)
+    # With |h| = |step| = 1, h - (h . step) step is computed to a few float64
+    # eps, so where exact arithmetic leaves no axis (h orthogonal to the true
+    # one) only rounding of that size is left, and it has no direction.
+    no_axis = 8.0 * np.finfo(float).eps
+    read: set[bytes] = set()
     tried: set[bytes] = set()
     for probe, out in zip(probe_tracks, outs):
+        if out.tobytes() in read:
+            continue
+        read.add(out.tobytes())
         step = out[1:] - h
         if not step.any():
             continue
-        step /= np.linalg.norm(step)
+        # math.sqrt of the dot product is np.linalg.norm of a real vector,
+        # bit for bit, without its dispatch.
+        step /= math.sqrt(step.dot(step))
         axis = h - (h @ step) * step
-        length = np.linalg.norm(axis) * np.sign(axis @ start[1:])
-        if length == 0.0:
+        length = math.sqrt(axis.dot(axis)) * np.sign(axis @ start[1:])
+        if abs(length) <= no_axis:
             continue
         row = np.concatenate(([1.0], axis / length))
         if row.tobytes() in tried or start @ row / 2.0 < BASIN_MIN_OVERLAP:
             continue
         tried.add(row.tobytes())
         tracks = np.append(required_tracks, probe)
-        test = run_layer_with_inputs(layer, np.tile(row, (n, 1)), tracks=tracks)
+        test = run_layer_with_inputs(layer, _tiled(row, n), tracks=tracks)
         if np.einsum("ta,a->t", test[:-1], row).min() / 2.0 >= PASS_FIDELITY:
             # (1 + x X + y Y + z Z)|+> = 2|v><v|+>: the ket |v> of the probe
             # output's direction, phased so <+|v> > 0.
@@ -636,6 +668,7 @@ def disambiguate(
     ambiguous_tracks = _check_tracks(ambiguous_tracks, layer.num_tracks, name="ambiguous_tracks")
     cnot = cnot_tracks.tolist()
     probe_tracks = cnot + [t for t in ambiguous_tracks.tolist() if t not in cnot]
+    probe_tracks = np.array(probe_tracks, dtype=np.intp)
     passing: list[CandidateBasis] = []
     for cand in candidates:
         v = _polish_candidate(layer, cand.basis, probe_tracks, cnot_tracks)
@@ -660,7 +693,7 @@ def pairing_probe(
     are candidate tracks shown not to be CNOT members. Raises ValueError for
     a candidate track that is not an integer track of the layer.
     """
-    plus, minus = _probe_rows(_frame(basis))[:2]
+    plus, minus = _probe_rows(basis._frame)[:2]
     n = layer.num_tracks
     tracks = _check_tracks(candidate_tracks, n, name="candidate_tracks")
     order = list(dict.fromkeys(tracks.tolist()))
@@ -669,7 +702,7 @@ def pairing_probe(
     for track in order:
         if track in taken:
             continue
-        rows = np.tile(plus, (n, 1))
+        rows = _tiled(plus, n)
         rows[track] = minus
         outs = run_layer_with_inputs(layer, rows)
         flipped = np.einsum("ta,a->t", outs, minus) / 2.0 >= PASS_FIDELITY
@@ -706,22 +739,22 @@ def _pin_basis_phase(
     global sign).
     """
     control, target = pair
-    n = layer.num_tracks
+    tracks = np.array([control], dtype=np.intp)
 
     def coherence(probes: np.ndarray, target_row: np.ndarray) -> complex:
         plus, _minus, m_s, m_i = probes
-        rows = np.tile(plus, (n, 1))
-        rows[[control, target]] = m_s, target_row
-        out = run_layer_with_inputs(layer, rows, tracks=[control])[0]
+        rows = _tiled(plus, layer.num_tracks)
+        rows[control], rows[target] = m_s, target_row
+        out = run_layer_with_inputs(layer, rows, tracks=tracks)[0]
         return complex(out @ m_s - 1.0, 1.0 - out @ m_i) / 2.0
 
-    probes = _probe_rows(_frame(basis))
+    probes = _probe_rows(basis._frame)
     cos_term = 2.0 * coherence(probes, probes[2]).real
     sin_term = 2.0 * coherence(probes, probes[3]).real
     gamma = 0.5 * math.atan2(sin_term, cos_term)
     phase = np.exp(-1j * gamma)
     pinned = QubitBasis(alpha=phase * basis.alpha, beta=phase * basis.beta)
-    probes = _probe_rows(_frame(pinned))
+    probes = _probe_rows(pinned._frame)
     residual = abs(coherence(probes, probes[2]) - 0.5)
     if residual > 1e-9:
         raise IdentificationError(
@@ -745,9 +778,9 @@ def classify_single_qubit_gates(
     """
     n = layer.num_tracks
     tracks = _check_tracks(tracks, n, name="tracks")
-    frame = _frame(basis)
+    frame = basis._frame
     rows = _probe_rows(frame)
-    outs = np.array([run_layer_with_inputs(layer, np.tile(r, (n, 1)), tracks=tracks) for r in rows])
+    outs = np.array([run_layer_with_inputs(layer, _tiled(r, n), tracks=tracks) for r in rows])
     # outs[probe, track] against predicted[gate, probe].
     predicted = np.einsum("ab,gbc,pc->gpa", frame, _STANDARD_TRANSFER, _PROBES)
     distance = np.linalg.norm(outs - predicted[:, :, None], axis=-1) / math.sqrt(2.0)

@@ -9,6 +9,7 @@ the input's Bloch vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,13 @@ BLOCH_NORM_SLACK = 1e-12
 
 #: Normalization tolerance for two-state basis amplitudes.
 BASIS_NORM_ATOL = 1e-10
+
+#: Pauli matrices (I, X, Y, Z): a qubit with Bloch row r = (1, x, y, z) has
+#: density matrix sum_a r_a sigma_a / 2.
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+#: sigma_b x I on a qubit beside a second one, b = 0..3.
+_PAULI_BESIDE = np.einsum("bij,kl->bikjl", _PAULI, _PAULI[0]).reshape(4, 4, 4)
 
 
 def fourier_ket(dim: int, index: int) -> np.ndarray:
@@ -143,6 +151,19 @@ def bloch_of(rho: DensityOperator) -> BlochVector:
     )
 
 
+def _bloch_frame(basis: QubitBasis) -> np.ndarray:
+    """Read-only Bloch rotation of ``basis``: computational row = frame @
+    hidden row. It is ``circuit.pauli_transfer(basis.matrix())`` at c = 0,
+    bit for bit, from the four sigma_b x I products alone instead of all
+    sixteen sigma_b x sigma_c."""
+    a, b = basis.alpha, basis.beta
+    u = np.array([[a, b.conjugate()], [b, -a.conjugate()]])  # basis.matrix()
+    u = np.einsum("ij,kl->ikjl", u, np.eye(2)).reshape(4, 4)
+    frame = np.einsum("aji,bij->ab", _PAULI_BESIDE, u @ _PAULI_BESIDE @ u.conj().T).real / 4.0
+    frame.setflags(write=False)
+    return frame
+
+
 @dataclass(frozen=True)
 class QubitBasis:
     """Orthonormal two-state basis |+> = alpha|1> + beta|2>,
@@ -183,6 +204,9 @@ class QubitBasis:
     def matrix(self) -> np.ndarray:
         """Unitary with columns (|+>, |->); determinant is always -1."""
         return np.stack([self.plus_ket(), self.minus_ket()], axis=1)
+
+    #: The basis's ``_bloch_frame``, built once.
+    _frame = cached_property(_bloch_frame)
 
     @classmethod
     def computational(cls) -> "QubitBasis":

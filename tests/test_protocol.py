@@ -21,6 +21,7 @@ from texlab.circuit import (
     GateKind,
     SingleGate,
     gate_matrix,
+    pauli_transfer,
     run_layer_with_inputs,
     standard_gate_matrix,
 )
@@ -38,7 +39,6 @@ from texlab.protocol import (
     ProtocolReport,
     TrackStats,
     _block_grams,
-    _frame,
     _gauge_partner,
     _polish_candidate,
     _probe_rows,
@@ -70,6 +70,12 @@ def _random_basis(rng: np.random.Generator) -> QubitBasis:
     z = rng.normal(size=2) + 1j * rng.normal(size=2)
     z = z / np.linalg.norm(z)
     return QubitBasis(alpha=complex(z[0]), beta=complex(z[1]))
+
+
+def _full_tensor_frame(basis: QubitBasis) -> np.ndarray:
+    """The former Bloch frame, the c = 0 slice of the full Pauli transfer
+    tensor of the basis matrix, kept as an exact oracle."""
+    return pauli_transfer(basis.matrix())[:, :, 0]
 
 
 def _rows(kets) -> np.ndarray:
@@ -490,6 +496,34 @@ def test_gram_blocks_of_t_trials_are_a_bitwise_prefix_of_2t():
         assert np.array_equal(sum(short).view(np.uint64), sum(long[: len(short)]).view(np.uint64))
 
 
+def _exact_stats_reference(layer, seed, trials):
+    # The former exact-mode statistics, which added the block Grams with
+    # Python's sum, left to right, kept as an exact oracle: per track, its
+    # (X, Y, stderr X, stderr Y) as ``_stats_bits`` lays them out.
+    forms = _role_forms(layer)
+    gram = sum(_block_grams(seed, trials))
+    mean = gram[0] / trials
+    means = forms @ mean
+    stderr = np.zeros(len(forms))
+    if trials > 1:
+        cov = gram / trials - np.outer(mean, mean)
+        var = np.einsum("vi,ij,vj->v", forms, cov, forms) * (trials / (trials - 1))
+        stderr = np.sqrt(np.maximum(var, 0.0) / trials)
+    rows = 2 * layer.transfer.role
+    return np.stack([means[rows], means[rows + 1], stderr[rows], stderr[rows + 1]], axis=1)
+
+
+@pytest.mark.parametrize("trials", [1, 511, 512, 4097, 99_999, 100_000])
+def test_gram_reduction_matches_the_former_left_to_right_sum(trials):
+    # One reduction over the stack of block Grams adds them in trial order,
+    # as Python's sum did, so every statistic keeps its bits.
+    layer = _every_kind_layer(5, 0.15, (0.0, 0.0))
+    for seed in (5, 6):
+        got = _stats_bits(run_protocol(layer, seed=seed, trials=trials))
+        want = _exact_stats_reference(layer, seed, trials)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), seed
+
+
 def test_trial_features_are_the_bloch_monomials_of_the_trial_kets():
     layer = random_layer(num_tracks=2, num_cnots=1, seed=3, min_component=0.15)
     trials = _BLOCK + 7
@@ -702,6 +736,82 @@ def test_recover_basis_rejects_non_finite_input(averages, stderr, field):
         recover_basis(averages, stderr=stderr)
 
 
+def _recover_basis_reference(averages, stderr=0.0):
+    # The former recover_basis, which scored its eight sign choices one
+    # QubitBasis at a time through expected_averages, kept verbatim as an
+    # exact oracle.
+    x, xt, y, yt = (float(v) for v in averages)
+    tol_edge = max(10.0 * stderr, 1e-9)
+    tol_fit = max(6.0 * stderr, 1e-9)
+    r_alpha = 1.5 * yt - 1.0
+    if r_alpha < -tol_edge or r_alpha > 1.0 + tol_edge:
+        return []
+    r_alpha = min(1.0, max(0.0, r_alpha))
+    if r_alpha > 1.0 - protocol.DEGENERACY_FLOOR or r_alpha < protocol.DEGENERACY_FLOOR:
+        alpha = 1.0 if r_alpha > 0.5 else 0.0
+        basis = QubitBasis(alpha=alpha, beta=1.0 - alpha)
+        return [CandidateBasis(basis)]
+    mag_a = math.sqrt(r_alpha)
+    mag_b = math.sqrt(1.0 - r_alpha)
+    radius = math.hypot(yt - x, xt + y - 2.0)
+    den_l = 4.0 * r_alpha / 3.0
+    den_c = 4.0 * (1.0 - r_alpha) / 3.0
+    cos_l = math.sqrt(min(1.0, max(0.0, ((yt - x) + radius) / den_l)))
+    cos_c_abs = math.sqrt(min(1.0, max(0.0, ((x - yt) + radius) / den_c)))
+    sin_l_abs = math.sqrt(max(0.0, 1.0 - cos_l**2))
+    sin_c_abs = math.sqrt(max(0.0, 1.0 - cos_c_abs**2))
+    scored = []
+    for s_cc in (1, -1):
+        for s_sl in (1, -1):
+            for s_sc in (1, -1):
+                alpha = mag_a * complex(cos_l, s_sl * sin_l_abs)
+                beta = mag_b * complex(s_cc * cos_c_abs, s_sc * sin_c_abs)
+                basis = QubitBasis(alpha=alpha, beta=beta)
+                px, pxt, py, pyt = expected_averages(basis)
+                err = max(abs(px - x), abs(pxt - xt), abs(py - y), abs(pyt - yt))
+                scored.append((err, CandidateBasis(basis)))
+    best = min(err for err, _ in scored)
+    keep = max(3.0 * best, tol_fit)
+    cap = max(12.0 * stderr, 0.05)
+    found = []
+    for err, cand in scored:
+        if err > keep or err > cap:
+            continue
+        if all(basis_distance(cand.basis, other.basis) > 1e-9 for other in found):
+            found.append(cand)
+    return found
+
+
+def test_recover_basis_matches_the_scalar_sign_loop():
+    # The eight sign choices scored as arrays keep the candidate lists of
+    # the scalar loop, entry for entry, on exact averages, on averages with
+    # noise at stderr 1e-3, and on the degenerate branch (every fourth
+    # basis has |alpha|^2 or |beta|^2 below 0.012).
+    rng = np.random.default_rng(77)
+    seen = {"two": 0, "degenerate": 0}
+    for index in range(800):
+        basis = _random_basis(rng)
+        if index % 4 == 0:
+            small = math.sqrt(rng.uniform(0.0, 0.012))
+            big = math.sqrt(1.0 - small**2)
+            a, b = cmath.exp(2j * math.pi * rng.random()), cmath.exp(2j * math.pi * rng.random())
+            if index % 8:
+                small, big = big, small
+            basis = QubitBasis(alpha=big * a, beta=small * b)
+        exact = np.array(expected_averages(basis))
+        for stderr in (0.0, 1e-3):
+            averages = exact + rng.normal(scale=stderr, size=4)
+            got = recover_basis(averages, stderr=stderr)
+            want = _recover_basis_reference(averages, stderr=stderr)
+            where = (index, stderr)
+            assert [(c.basis.alpha, c.basis.beta) for c in got] == [
+                (c.basis.alpha, c.basis.beta) for c in want
+            ], where
+            seen["two"] += len(want) == 2
+            seen["degenerate"] += index % 4 == 0 and len(want) == 1
+    assert seen["two"] >= 1000 and seen["degenerate"] >= 300, seen
+
+
 def test_pair_readings_order_split_and_partner_slot():
     def readings(stats, detected, ambiguous=()):
         return list(protocol._pair_readings(stats, detected, list(ambiguous)))
@@ -749,6 +859,27 @@ def test_pair_readings_order_split_and_partner_slot():
 
 # ---------------------------------------------------------------------------
 # deterministic probes
+
+
+def test_frame_matches_the_full_transfer_tensor_bit_for_bit():
+    # QubitBasis._frame forms only the sigma_b x I products of the full
+    # tensor, on 2000 seeded bases, the computational basis and its
+    # relabelings, and the hidden bases of layers drawn with min_component 0.
+    rng = np.random.default_rng(83)
+    bases = [
+        QubitBasis.computational(),
+        QubitBasis(alpha=0.0, beta=1.0),
+        QubitBasis(alpha=-1j, beta=-0.0),
+    ]
+    bases += [
+        random_layer(num_tracks=2, num_cnots=1, seed=seed, min_component=0.0).hidden_basis
+        for seed in range(50)
+    ]
+    bases += [_random_basis(rng) for _ in range(2000)]
+    for basis in bases:
+        frame = basis._frame
+        assert frame is basis._frame and not frame.flags.writeable
+        assert np.array_equal(frame.view(np.uint64), _full_tensor_frame(basis).view(np.uint64)), basis
 
 
 def test_disambiguate_keeps_true_ray_and_rejects_conjugate():
@@ -907,6 +1038,19 @@ def test_polish_gives_up_without_a_warning_on_a_maximally_mixed_output(monkeypat
     np.testing.assert_array_equal(runs[0], [[1.0, 0.0, 0.0, 0.0]] * 2)
 
 
+def test_polish_reads_no_axis_off_rounding(monkeypatch):
+    # The candidate (|+>+i|->)/sqrt(2) of the hidden basis tilts to an h
+    # orthogonal to the hidden |+> axis, so the control's axis is zero in
+    # exact arithmetic; computed, it is 0.71 eps long. Such rounding is no
+    # axis: the polish stops after its one run, with no product test.
+    hidden = QubitBasis.computational()
+    layer = CircuitLayer(num_tracks=3, hidden_basis=hidden, gates=(CnotGate(2, 0),))
+    cand = QubitBasis.from_plus_ket((hidden.plus_ket() + 1j * hidden.minus_ket()) * SQ2)
+    runs = _counting_probe_runs(monkeypatch)
+    assert _polish_candidate(layer, cand, [2], [2, 0]) is None
+    assert len(runs) == 1
+
+
 @pytest.mark.parametrize("distance", [0.0, 1e-12, 1e-6, 1e-3, 0.1])
 @pytest.mark.parametrize("side", ["control", "target"])
 def test_polish_reads_the_ket_off_two_probe_runs(distance, side, monkeypatch):
@@ -940,7 +1084,7 @@ def _fixed_point_polish(layer, basis, probe_tracks, required_tracks):
     # iteration on the Bloch direction of one probe track's output, tried
     # once per role.
     n = layer.num_tracks
-    start = _probe_rows(_frame(basis))[0]
+    start = _probe_rows(_full_tensor_frame(basis))[0]
     tried: set[int] = set()
     for probe in probe_tracks:
         role = int(layer.transfer.role[probe])
@@ -967,6 +1111,19 @@ def _fixed_point_polish(layer, basis, probe_tracks, required_tracks):
             v = np.array([(1.0 + z) * a + (x - 1j * y) * b, (x + 1j * y) * a + (1.0 - z) * b])
             return v / np.linalg.norm(v)
     return None
+
+
+@pytest.mark.parametrize(
+    "num_tracks, num_cnots, runs", [(8, 3, 19), (32, 8, 28), (128, 20, 42)]
+)
+def test_identification_keeps_its_probe_run_budget(num_tracks, num_cnots, runs, monkeypatch):
+    # Every probe run of an identification is one call of the module
+    # attribute protocol.run_layer_with_inputs, which the traced benchmark
+    # wraps: a rewrite may neither add a run nor make one around it.
+    layer = random_layer(num_tracks=num_tracks, num_cnots=num_cnots, seed=42, min_component=0.15)
+    calls = _counting_probe_runs(monkeypatch)
+    assert identify_layer(layer, seed=1).status == "full"
+    assert len(calls) == runs
 
 
 def test_sweep_decisions_match_the_fixed_point_polish(monkeypatch):
