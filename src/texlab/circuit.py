@@ -7,9 +7,10 @@ single-qubit gate is B U B^dag and the CNOT is (B x B) U_CN (B x B)^dag,
 where B has the hidden kets as columns.
 
 ``CircuitLayer.transfer`` holds the layer's action once, one real Pauli
-transfer tensor per role (gate kind, CNOT side): the trial engine
-(``texlab.protocol.run_protocol``) folds it into its grand-sum forms, and
-the probe simulator here, ``run_layer_with_inputs``, reads it directly.
+transfer tensor per role (gate kind, CNOT side), built by ``pauli_transfer``
+(from ``texlab.states``): the trial engine (``texlab.protocol.run_protocol``)
+folds it into its grand-sum forms, and the probe simulator here,
+``run_layer_with_inputs``, reads it directly.
 
 A layer carries two noise knobs: with probability p the (joint) input of a
 track or CNOT pair is replaced by white noise, and with probability q a CNOT
@@ -25,9 +26,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import kron
 from .serialize import parse_complex_field, require_integer
-from .states import _PAULI, BLOCH_NORM_SLACK, QubitBasis
+from .states import BLOCH_NORM_SLACK, QubitBasis, pauli_transfer
 
 __all__ = [
     "GateKind",
@@ -69,10 +69,6 @@ _STANDARD_CNOT = np.array(
     dtype=np.complex128,
 )
 
-#: Two-track Pauli products: _PAULI_PAIRS[b, c] is sigma_b on track 0 and
-#: sigma_c on track 1.
-_PAULI_PAIRS = np.einsum("bij,ckl->bcikjl", _PAULI, _PAULI).reshape(4, 4, 4, 4)
-
 
 def standard_gate_matrix(kind: GateKind) -> np.ndarray:
     """Matrix of a gate in the basis where it takes its standard form."""
@@ -85,30 +81,17 @@ def gate_matrix(kind: GateKind, basis: QubitBasis) -> np.ndarray:
     """Computational-coordinate matrix of a hidden-basis gate."""
     b = basis.matrix()
     if kind is GateKind.CNOT:
-        b2 = kron(b, b)
+        b2 = np.kron(b, b)
         return b2 @ _STANDARD_CNOT @ b2.conj().T
     return b @ _STANDARD_SINGLE[kind] @ b.conj().T
-
-
-def pauli_transfer(u: np.ndarray, side: int = 0) -> np.ndarray:
-    """Real (4, 4, 4) tensor T of track ``side`` of the two-track
-    unitary ``u`` (a 2x2 ``u`` acts on track 0 alone): T[a, b, c] maps the
-    Bloch rows of the track's own input (b) and of the other track's (c) to
-    row a of its reduced output. A single-qubit gate's T is zero unless c = 0.
-    """
-    if u.shape == (2, 2):
-        u = np.einsum("ij,kl->ikjl", u, np.eye(2)).reshape(4, 4)  # u on track 0
-    # paulis[b, c]: sigma_b on track ``side``, sigma_c on the other track.
-    paulis = _PAULI_PAIRS.transpose(side, 1 - side, 2, 3)
-    return np.einsum("aji,bcij->abc", paulis[:, 0], u @ paulis @ u.conj().T).real / 4.0
 
 
 @dataclass(frozen=True, slots=True)
 class LayerTransfer:
     """A layer's noise-free action: ``tensors[i]`` is the ``pauli_transfer``
-    of ``roles[i]`` (kind, side: 0 for a CNOT control, 1 for its target,
-    None for a single-qubit gate), in order of first track. Track t holds
-    role ``role[t]``; its CNOT partner, or t itself, is ``partner[t]``."""
+    tensor of ``roles[i]`` (kind, side: 0 for a CNOT control, 1 for its
+    target, None for a single-qubit gate), in order of first track. Track t
+    holds role ``role[t]``; its CNOT partner, or t itself, is ``partner[t]``."""
 
     roles: tuple[tuple[GateKind, int | None], ...]
     tensors: np.ndarray
@@ -173,9 +156,10 @@ class CircuitLayer:
             )
         if not isinstance(self.hidden_basis, QubitBasis):
             raise ValueError("hidden_basis: expected a QubitBasis")
-        p, q = self.noise
-        p = float(p)
-        q = float(q)
+        try:
+            p, q = (float(v) for v in self.noise)
+        except (TypeError, ValueError):
+            raise ValueError(f"noise: expected a pair of numbers, got {self.noise!r}") from None
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"noise.p: must lie in [0, 1], got {p!r}")
         if not 0.0 <= q <= 1.0:
@@ -216,9 +200,10 @@ class CircuitLayer:
         index: dict[tuple[GateKind, int | None], int] = {}
         role = [index.setdefault(key[t], len(index)) for t in range(self.num_tracks)]
         role = np.array(role, dtype=np.intp)
-        # A CNOT's control and target share one gate matrix.
-        mats = {k: gate_matrix(k, self.hidden_basis) for k in dict.fromkeys(k for k, _ in index)}
-        tensors = np.array([pauli_transfer(mats[k], s or 0) for k, s in index])
+        # A CNOT's control and target share one gate matrix and one build.
+        kinds = {k for k, _ in index}
+        sides = {k: pauli_transfer(gate_matrix(k, self.hidden_basis)) for k in kinds}
+        tensors = np.array([sides[k][s or 0] for k, s in index])
         for arr in (tensors, role, partner):
             arr.setflags(write=False)
         return LayerTransfer(tuple(index), tensors, role, partner)

@@ -11,10 +11,12 @@ hidden basis (alpha, beta) = (|alpha| e^{i lambda}, |beta| e^{i chi}):
 * target track:   X~ = 1 + 2 Re(conj(alpha) beta) / 3
                   Y~ = 1 + (|alpha|^2 - |beta|^2) / 3
 
-Each per-trial grand sum is a fixed form in the monomials of degree <= 2
-of the input's hidden-basis Bloch vector, read off the Pauli transfer
-tensors that the probe runs also contract, so the trial engine reads every
-track's mean and standard error off one Gram matrix of those monomials.
+These four are written once, as one array kernel that ``expected_averages``
+and ``recover_basis`` read. Each per-trial grand sum is a fixed form in the
+monomials of degree <= 2 of the input's hidden-basis Bloch vector, read off
+the Pauli transfer tensors (``texlab.states.pauli_transfer``) that the probe
+runs also contract, so the trial engine reads every track's mean and
+standard error off one Gram matrix of those monomials.
 
 The combined deviation of a CNOT pair is bounded below by 1/9, so a
 threshold test detects every CNOT. The pooled averages, read in a fixed
@@ -51,7 +53,7 @@ from .circuit import (
 # and fails without it. The wrapping goes with ROADMAP item 6.
 from .linalg import principal_eigenvector  # noqa: F401
 from .serialize import ARTIFACT_VERSION, dumps_csv, require_integer
-from .states import QubitBasis, _bloch_frame, basis_distance
+from .states import QubitBasis, basis_distance
 
 DEFAULT_TRIALS = 100_000
 DEFAULT_TAU = 0.05
@@ -103,11 +105,11 @@ _PROBES = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [1, 1, 0, 0], [1, 0, 1, 0]], dt
 
 #: Bloch transfer matrices of the single-qubit gates in their standard form.
 _STANDARD_TRANSFER = np.array(
-    [pauli_transfer(standard_gate_matrix(kind))[:, :, 0] for kind in _SINGLE_KINDS]
+    [pauli_transfer(standard_gate_matrix(kind))[0, :, :, 0] for kind in _SINGLE_KINDS]
 )
 
 #: Transfer tensor of the identity, which a dropped-out CNOT acts as.
-_IDENTITY_TRANSFER = pauli_transfer(np.eye(2))
+_IDENTITY_TRANSFER = pauli_transfer(np.eye(2))[0]
 
 
 class IdentificationError(RuntimeError):
@@ -124,15 +126,20 @@ class IdentificationError(RuntimeError):
 # expected averages and detection margins
 
 
+def _averages(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Averages (X, X~, Y, Y~) of a CNOT, on axis 0, for |+> amplitude arrays."""
+    return np.array([
+        1.0 - ((alpha**2).real - (beta**2).real) / 3.0,
+        1.0 + 2.0 * (np.conj(alpha) * beta).real / 3.0,
+        1.0 + 2.0 * (alpha * beta).real / 3.0,
+        1.0 + (np.abs(alpha) ** 2 - np.abs(beta) ** 2) / 3.0,
+    ])
+
+
 def expected_averages(basis: QubitBasis) -> tuple[float, float, float, float]:
-    """Haar-averaged grand sums (X, X~, Y, Y~) of a CNOT in ``basis``."""
-    alpha = np.asarray(basis.alpha, dtype=np.complex128)
-    beta = np.asarray(basis.beta, dtype=np.complex128)
-    x = 1.0 - ((alpha**2).real - (beta**2).real) / 3.0
-    xt = 1.0 + 2.0 * (np.conj(alpha) * beta).real / 3.0
-    y = 1.0 + 2.0 * (alpha * beta).real / 3.0
-    yt = 1.0 + (np.abs(alpha) ** 2 - np.abs(beta) ** 2) / 3.0
-    return float(x), float(xt), float(y), float(yt)
+    """Haar-averaged grand sums (X, X~, Y, Y~) of a CNOT in ``basis``, read
+    off the kernel on 0-d arrays (whose |alpha|^2 is pow's, not a product)."""
+    return tuple(_averages(np.array(basis.alpha), np.array(basis.beta)).tolist())
 
 
 def detectability_margin(basis: QubitBasis) -> float:
@@ -369,7 +376,7 @@ def _role_forms(layer: CircuitLayer) -> np.ndarray:
     drop = drop.reshape(-1, 1, 1, 1)
     tensors = (1.0 - p) * ((1.0 - drop) * transfer.tensors + drop * _IDENTITY_TRANSFER)
     # Built, not kept on the layer's basis: a caller may hold many layers.
-    rot = _bloch_frame(layer.hidden_basis)
+    rot = QubitBasis._frame.func(layer.hidden_basis)
     quad = rot.T @ np.einsum("ra,kabc->krbc", _READOUT, tensors) @ rot
     forms = np.einsum("krde,dej->krj", quad, _FOLD).reshape(-1, 10)
     forms[:, 0] += p
@@ -471,10 +478,14 @@ def recover_basis(averages, stderr: float = 0.0) -> list[CandidateBasis]:
     them within ``6 * stderr`` is kept (cos lambda >= 0 fixes the redundant
     global sign), so generic averages give two candidates, a basis and its
     complex conjugate. An |alpha|^2 estimate within ``DEGENERACY_FLOOR`` of
-    0 or 1 short-circuits to the relabeled computational basis. A non-finite
-    average or a negative or non-finite ``stderr`` raises ValueError.
+    0 or 1 short-circuits to the relabeled computational basis. ``averages``
+    other than four finite numbers, or a negative or non-finite ``stderr``,
+    raises ValueError.
     """
-    x, xt, y, yt = (float(v) for v in averages)
+    try:
+        x, xt, y, yt = (float(v) for v in averages)
+    except (TypeError, ValueError):
+        raise ValueError(f"averages: expected four finite numbers, got {averages!r}") from None
     if not all(map(math.isfinite, (x, xt, y, yt))):
         raise ValueError(f"averages: must be finite, got {averages!r}")
     if not (math.isfinite(stderr) and stderr >= 0.0):
@@ -499,24 +510,12 @@ def recover_basis(averages, stderr: float = 0.0) -> list[CandidateBasis]:
     sin_l_abs = math.sqrt(max(0.0, 1.0 - cos_l**2))
     sin_c_abs = math.sqrt(max(0.0, 1.0 - cos_c_abs**2))
     # The eight sign choices (s_cc, s_sl, s_sc), each sign 1 then -1, the
-    # last varying fastest. Their amplitudes are Python complex products;
-    # their averages are those of ``expected_averages``, bit for bit, for all
-    # eight at once. |alpha| and |beta|, and so Y~, are the same for every
-    # choice, and Y~ is computed as a scalar there.
+    # last varying fastest, scored in one call of the averages kernel.
     signs = [(s_cc, s_sl, s_sc) for s_cc in (1, -1) for s_sl in (1, -1) for s_sc in (1, -1)]
     alphas = [mag_a * complex(cos_l, s_sl * sin_l_abs) for _, s_sl, _ in signs]
     betas = [mag_b * complex(s_cc * cos_c_abs, s_sc * sin_c_abs) for s_cc, _, s_sc in signs]
-    a, b = np.array(alphas), np.array(betas)
-    pyt = 1.0 + (np.abs(a[0]) ** 2 - np.abs(b[0]) ** 2) / 3.0
-    err = np.max(
-        np.abs([
-            1.0 - ((a**2).real - (b**2).real) / 3.0 - x,
-            1.0 + 2.0 * (np.conj(a) * b).real / 3.0 - xt,
-            1.0 + 2.0 * (a * b).real / 3.0 - y,
-            np.full(8, pyt - yt),
-        ]),
-        axis=0,
-    ).tolist()
+    predicted = _averages(np.array(alphas), np.array(betas))
+    err = np.abs(predicted - np.array([[x], [xt], [y], [yt]])).max(axis=0).tolist()
     # The inversion amplifies measurement noise by roughly 1/min(|alpha|^2,
     # |beta|^2), so sign combos are pruned relative to the best fit rather
     # than at a fixed multiple of the standard error; downstream probe runs
@@ -625,8 +624,7 @@ def _polish_candidate(
         step = out[1:] - h
         if not step.any():
             continue
-        # math.sqrt of the dot product is np.linalg.norm of a real vector,
-        # bit for bit, without its dispatch.
+        # The length as np.linalg.norm computes it, without its dispatch.
         step /= math.sqrt(step.dot(step))
         axis = h - (h @ step) * step
         length = math.sqrt(axis.dot(axis)) * np.sign(axis @ start[1:])

@@ -1,5 +1,6 @@
 """State constructions: Fourier kets, density operators, Bloch coordinates,
-and two-state reference bases.
+two-state reference bases, and ``pauli_transfer``, the package's one Bloch
+transfer formula, read by every layer role and basis frame.
 
 The Haar-random trial inputs of the identification protocol are drawn in
 ``texlab.protocol`` as two uniforms per trial, turned into the monomials of
@@ -33,8 +34,29 @@ BASIS_NORM_ATOL = 1e-10
 #: density matrix sum_a r_a sigma_a / 2.
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
-#: sigma_b x I on a qubit beside a second one, b = 0..3.
-_PAULI_BESIDE = np.einsum("bij,kl->bikjl", _PAULI, _PAULI[0]).reshape(4, 4, 4)
+#: Two-qubit Pauli products: _PAULI_PAIRS[b, c] is sigma_b on the first
+#: qubit and sigma_c on the second.
+_PAULI_PAIRS = np.einsum("bij,ckl->bcikjl", _PAULI, _PAULI).reshape(4, 4, 4, 4)
+
+
+def pauli_transfer(u: np.ndarray) -> np.ndarray:
+    """Real Pauli transfer tensors of the unitary ``u``, one per qubit it
+    acts on: (2, 4, 4, 4) for a 4x4 ``u`` (a CNOT's control, then its
+    target), read off one stack of its sixteen Pauli products; (1, 4, 4, 4)
+    for a 2x2 one, which acts as u x I, read off its four sigma_b x I
+    products, with exact zeros at c != 0 (tr sigma_c = 0). T[a, b, c] maps
+    the Bloch rows of the qubit's own input (b) and of the other's (c) to
+    row a of its reduced output."""
+    if u.shape == (2, 2):
+        u = np.einsum("ij,kl->ikjl", u, np.eye(2)).reshape(4, 4)
+        beside = _PAULI_PAIRS[:, 0]
+        out = np.zeros((1, 4, 4, 4))
+        out[0, :, :, 0] = np.einsum("aji,bij->ab", beside, u @ beside @ u.conj().T).real / 4.0
+        return out
+    m = u @ _PAULI_PAIRS @ u.conj().T
+    control = np.einsum("aji,bcij->abc", _PAULI_PAIRS[:, 0], m)
+    target = np.einsum("aji,cbij->abc", _PAULI_PAIRS[0], m)
+    return np.stack([control, target]).real / 4.0
 
 
 def fourier_ket(dim: int, index: int) -> np.ndarray:
@@ -151,19 +173,6 @@ def bloch_of(rho: DensityOperator) -> BlochVector:
     )
 
 
-def _bloch_frame(basis: QubitBasis) -> np.ndarray:
-    """Read-only Bloch rotation of ``basis``: computational row = frame @
-    hidden row. It is ``circuit.pauli_transfer(basis.matrix())`` at c = 0,
-    bit for bit, from the four sigma_b x I products alone instead of all
-    sixteen sigma_b x sigma_c."""
-    a, b = basis.alpha, basis.beta
-    u = np.array([[a, b.conjugate()], [b, -a.conjugate()]])  # basis.matrix()
-    u = np.einsum("ij,kl->ikjl", u, np.eye(2)).reshape(4, 4)
-    frame = np.einsum("aji,bij->ab", _PAULI_BESIDE, u @ _PAULI_BESIDE @ u.conj().T).real / 4.0
-    frame.setflags(write=False)
-    return frame
-
-
 @dataclass(frozen=True)
 class QubitBasis:
     """Orthonormal two-state basis |+> = alpha|1> + beta|2>,
@@ -203,10 +212,15 @@ class QubitBasis:
 
     def matrix(self) -> np.ndarray:
         """Unitary with columns (|+>, |->); determinant is always -1."""
-        return np.stack([self.plus_ket(), self.minus_ket()], axis=1)
+        a, b = self.alpha, self.beta
+        return np.array([[a, b.conjugate()], [b, -a.conjugate()]])
 
-    #: The basis's ``_bloch_frame``, built once.
-    _frame = cached_property(_bloch_frame)
+    @cached_property
+    def _frame(self) -> np.ndarray:
+        """Read-only, C-ordered Bloch rotation: computational row = frame @ hidden row."""
+        frame = pauli_transfer(self.matrix())[0, :, :, 0].copy()
+        frame.setflags(write=False)
+        return frame
 
     @classmethod
     def computational(cls) -> "QubitBasis":

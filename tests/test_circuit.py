@@ -101,6 +101,10 @@ def test_layer_validation():
         )
     with pytest.raises(ValueError, match="gates\\[0\\]"):
         CircuitLayer(num_tracks=1, hidden_basis=basis, gates=("H",))
+    # Each used to raise an unpacking or conversion error naming no field.
+    for noise in [(0.1,), (0.1, 0.2, 0.3), ("a", 0.0), (None, 0.0), 0.1, None]:
+        with pytest.raises(ValueError, match=r"^noise: expected a pair of numbers"):
+            CircuitLayer(num_tracks=1, hidden_basis=basis, noise=noise)
 
 
 def test_gate_dataclass_validation():

@@ -74,8 +74,9 @@ def _random_basis(rng: np.random.Generator) -> QubitBasis:
 
 def _full_tensor_frame(basis: QubitBasis) -> np.ndarray:
     """The former Bloch frame, the c = 0 slice of the full Pauli transfer
-    tensor of the basis matrix, kept as an exact oracle."""
-    return pauli_transfer(basis.matrix())[:, :, 0]
+    tensor of the basis matrix (u x I, all sixteen products), kept as an
+    exact oracle."""
+    return _pauli_transfer_reference(basis.matrix())[:, :, 0]
 
 
 def _rows(kets) -> np.ndarray:
@@ -736,10 +737,32 @@ def test_recover_basis_rejects_non_finite_input(averages, stderr, field):
         recover_basis(averages, stderr=stderr)
 
 
+@pytest.mark.parametrize(
+    "averages", [(1.0, 1.0, 1.0), (1.0,) * 5, 5.0, None, ("a", 1.0, 1.0, 1.0), (1j, 1, 1, 1)]
+)
+def test_recover_basis_names_averages_that_are_not_four_numbers(averages):
+    # These used to raise an unpacking message or a TypeError that named no
+    # argument.
+    with pytest.raises(ValueError, match=r"^averages: expected four finite numbers"):
+        recover_basis(averages)
+
+
+def _expected_averages_reference(basis):
+    # The former expected_averages, one basis at a time on 0-d arrays, kept
+    # verbatim as the oracle of ``_recover_basis_reference``.
+    alpha = np.asarray(basis.alpha, dtype=np.complex128)
+    beta = np.asarray(basis.beta, dtype=np.complex128)
+    x = 1.0 - ((alpha**2).real - (beta**2).real) / 3.0
+    xt = 1.0 + 2.0 * (np.conj(alpha) * beta).real / 3.0
+    y = 1.0 + 2.0 * (alpha * beta).real / 3.0
+    yt = 1.0 + (np.abs(alpha) ** 2 - np.abs(beta) ** 2) / 3.0
+    return float(x), float(xt), float(y), float(yt)
+
+
 def _recover_basis_reference(averages, stderr=0.0):
     # The former recover_basis, which scored its eight sign choices one
     # QubitBasis at a time through expected_averages, kept verbatim as an
-    # exact oracle.
+    # exact oracle (with the former expected_averages).
     x, xt, y, yt = (float(v) for v in averages)
     tol_edge = max(10.0 * stderr, 1e-9)
     tol_fit = max(6.0 * stderr, 1e-9)
@@ -767,7 +790,7 @@ def _recover_basis_reference(averages, stderr=0.0):
                 alpha = mag_a * complex(cos_l, s_sl * sin_l_abs)
                 beta = mag_b * complex(s_cc * cos_c_abs, s_sc * sin_c_abs)
                 basis = QubitBasis(alpha=alpha, beta=beta)
-                px, pxt, py, pyt = expected_averages(basis)
+                px, pxt, py, pyt = _expected_averages_reference(basis)
                 err = max(abs(px - x), abs(pxt - xt), abs(py - y), abs(pyt - yt))
                 scored.append((err, CandidateBasis(basis)))
     best = min(err for err, _ in scored)
@@ -786,7 +809,8 @@ def test_recover_basis_matches_the_scalar_sign_loop():
     # The eight sign choices scored as arrays keep the candidate lists of
     # the scalar loop, entry for entry, on exact averages, on averages with
     # noise at stderr 1e-3, and on the degenerate branch (every fourth
-    # basis has |alpha|^2 or |beta|^2 below 0.012).
+    # basis has |alpha|^2 or |beta|^2 below 0.012); expected_averages keeps
+    # the former function's bits.
     rng = np.random.default_rng(77)
     seen = {"two": 0, "degenerate": 0}
     for index in range(800):
@@ -799,6 +823,8 @@ def test_recover_basis_matches_the_scalar_sign_loop():
                 small, big = big, small
             basis = QubitBasis(alpha=big * a, beta=small * b)
         exact = np.array(expected_averages(basis))
+        former = np.array(_expected_averages_reference(basis))
+        assert np.array_equal(exact.view(np.uint64), former.view(np.uint64)), index
         for stderr in (0.0, 1e-3):
             averages = exact + rng.normal(scale=stderr, size=4)
             got = recover_basis(averages, stderr=stderr)
@@ -1815,6 +1841,50 @@ _PAULI_REFERENCE = np.array(
     [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
 )
 _GRAND_SUMS_REFERENCE = (np.ones((2, 2)), np.diag([2.0, 0.0]))
+_PAULI_PAIRS_REFERENCE = np.einsum(
+    "bij,ckl->bcikjl", _PAULI_REFERENCE, _PAULI_REFERENCE
+).reshape(4, 4, 4, 4)
+
+
+def _pauli_transfer_reference(u, side=0):
+    # The former per-side builder: a 2x2 ``u`` is embedded as u x I and,
+    # like each side of a CNOT, formed from all sixteen two-track products.
+    if u.shape == (2, 2):
+        u = np.einsum("ij,kl->ikjl", u, np.eye(2)).reshape(4, 4)  # u on track 0
+    # paulis[b, c]: sigma_b on track ``side``, sigma_c on the other track.
+    paulis = _PAULI_PAIRS_REFERENCE.transpose(side, 1 - side, 2, 3)
+    return np.einsum("aji,bcij->abc", paulis[:, 0], u @ paulis @ u.conj().T).real / 4.0
+
+
+def test_transfer_tensors_match_the_sixteen_product_builder_bit_for_bit():
+    # Every role tensor of seeded layers (hidden bases drawn with
+    # min_component 0 and 0.15, the computational basis and two of its
+    # relabelings), both CNOT sides, the identity's and the standard gates'
+    # transfers, compared as bits: a single-qubit tensor's c != 0 slices
+    # are +0.0 in both.
+    layers = [
+        random_layer(num_tracks=n, num_cnots=c, seed=seed, min_component=m)
+        for seed in range(60)
+        for n, c, m in [(6, 1, 0.0), (9, 3, 0.15), (4, 2, 0.0)]
+    ]
+    gates = _every_kind_layer(0, 0.0, (0.0, 0.0)).gates
+    relabelings = [(1.0, 0.0), (0.0, 1.0), (-1j, -0.0)]
+    layers += [CircuitLayer(6, QubitBasis(a, b), gates) for a, b in relabelings]
+    seen = set()
+    for layer in layers:
+        transfer = layer.transfer
+        for (kind, side), got in zip(transfer.roles, transfer.tensors):
+            want = _pauli_transfer_reference(gate_matrix(kind, layer.hidden_basis), side or 0)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (layer, kind, side)
+            seen.add((kind, side))
+    assert len(seen) == 6, seen
+    identity = _pauli_transfer_reference(np.eye(2))
+    assert np.array_equal(protocol._IDENTITY_TRANSFER.view(np.uint64), identity.view(np.uint64))
+    for kind, got in zip(_SINGLE_KINDS, protocol._STANDARD_TRANSFER):
+        want = _pauli_transfer_reference(standard_gate_matrix(kind))[:, :, 0]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), kind
+    assert pauli_transfer(np.eye(2)).shape == (1, 4, 4, 4)
+    assert pauli_transfer(np.eye(4)).shape == (2, 4, 4, 4)
 
 
 def _role_forms_reference(layer):
