@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import as_complex_matrix, as_ket
-from .serialize import parse_complex_field, require_integer
+from .serialize import parse_complex_array, require_integer
 from .states import DensityOperator, fourier_ket
 
 #: Frobenius tolerance on sum(K^dag K) = identity.
@@ -41,12 +41,6 @@ _MATMUL_MNK = 65535
 #: stayed as busy as the calling thread on 31 x 256 products and idle on
 #: 15 x 256 ones.
 _MATVEC_MN = 4095
-
-
-def _require_dim(dim) -> None:
-    require_integer(dim, name="dim")
-    if dim < 1:
-        raise ValueError(f"dim: must be a positive integer, got {dim}")
 
 
 def _operator_stack(operators, dim: int) -> np.ndarray:
@@ -121,7 +115,7 @@ class KrausChannel:
     operators: np.ndarray
 
     def __post_init__(self):
-        _require_dim(self.dim)
+        require_integer(self.dim, name="dim", minimum=1)
         object.__setattr__(self, "operators", _operator_stack(self.operators, self.dim))
         residual = self.completeness_residual()
         if residual > COMPLETENESS_ATOL:
@@ -327,7 +321,7 @@ def build_free_channel(dim: int, target) -> KrausChannel:
     """Texture-free channel with dim^2 operators mapping the second Fourier
     ket onto the pure state ``target``.
     """
-    _require_dim(dim)
+    require_integer(dim, name="dim", minimum=1)
     target = as_ket(target, name="target")
     if target.shape != (dim,):
         raise ValueError(f"target: expected length {dim}, got {target.shape}")
@@ -345,7 +339,7 @@ def build_free_channel_mixed(dim: int, ensemble) -> KrausChannel:
     one; each component's operator family is written into one stack and
     scaled in place by sqrt(weight).
     """
-    _require_dim(dim)
+    require_integer(dim, name="dim", minimum=1)
     pairs = [(float(q), as_ket(psi, name=f"ensemble[{k}] ket")) for k, (q, psi) in enumerate(ensemble)]
     if not pairs:
         raise ValueError("ensemble: need at least one component")
@@ -499,15 +493,5 @@ def channel_from_json_dict(data: dict) -> KrausChannel:
     raw_ops = data.get("operators")
     if not isinstance(raw_ops, list) or not raw_ops:
         raise ValueError("operators: expected a non-empty list")
-    ops = []
-    for n, raw in enumerate(raw_ops):
-        if not isinstance(raw, list) or len(raw) != dim:
-            raise ValueError(f"operators[{n}]: expected {dim} rows")
-        op = np.zeros((dim, dim), dtype=np.complex128)
-        for r, row in enumerate(raw):
-            if not isinstance(row, list) or len(row) != dim:
-                raise ValueError(f"operators[{n}][{r}]: expected {dim} entries")
-            for c, entry in enumerate(row):
-                op[r, c] = parse_complex_field(entry, name=f"operators[{n}][{r}][{c}]")
-        ops.append(op)
-    return KrausChannel(dim=dim, operators=tuple(ops))
+    operators = parse_complex_array(raw_ops, (len(raw_ops), dim, dim), name="operators")
+    return KrausChannel(dim=dim, operators=operators)

@@ -109,9 +109,7 @@ class SingleGate:
     def __post_init__(self):
         if self.kind not in _SINGLE_KINDS:
             raise ValueError(f"kind: {self.kind!r} is not a single-qubit gate")
-        require_integer(self.track, name="track")
-        if self.track < 0:
-            raise ValueError(f"track: must be non-negative, got {self.track}")
+        require_integer(self.track, name="track", minimum=0)
 
 
 @dataclass(frozen=True)
@@ -122,12 +120,8 @@ class CnotGate:
     target: int
 
     def __post_init__(self):
-        require_integer(self.control, name="control")
-        require_integer(self.target, name="target")
-        if self.control < 0:
-            raise ValueError(f"control: must be non-negative, got {self.control}")
-        if self.target < 0:
-            raise ValueError(f"target: must be non-negative, got {self.target}")
+        require_integer(self.control, name="control", minimum=0)
+        require_integer(self.target, name="target", minimum=0)
         if self.control == self.target:
             raise ValueError(
                 f"control, target: must differ, both are {self.control}"
@@ -149,11 +143,7 @@ class CircuitLayer:
     noise: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        require_integer(self.num_tracks, name="num_tracks")
-        if self.num_tracks < 1:
-            raise ValueError(
-                f"num_tracks: must be a positive integer, got {self.num_tracks}"
-            )
+        require_integer(self.num_tracks, name="num_tracks", minimum=1)
         if not isinstance(self.hidden_basis, QubitBasis):
             raise ValueError("hidden_basis: expected a QubitBasis")
         try:
@@ -328,8 +318,7 @@ def layer_from_json_dict(data: dict) -> CircuitLayer:
     if "tracks" not in data:
         raise ValueError("layer: missing field 'tracks'")
     tracks = data["tracks"]
-    if not isinstance(tracks, int) or isinstance(tracks, bool) or tracks < 1:
-        raise ValueError(f"tracks: must be a positive integer, got {tracks!r}")
+    require_integer(tracks, name="tracks", minimum=1)
     raw_basis = data.get("hidden_basis")
     if not isinstance(raw_basis, dict):
         raise ValueError("hidden_basis: expected an object with alpha and beta")
@@ -357,12 +346,10 @@ def layer_from_json_dict(data: dict) -> CircuitLayer:
         kind = _KIND_BY_NAME[kind_name]
         if kind is GateKind.CNOT:
             for key in ("control", "target"):
-                if not isinstance(raw.get(key), int) or isinstance(raw.get(key), bool):
-                    raise ValueError(f"gates[{i}].{key}: expected an integer")
+                require_integer(raw.get(key), name=f"gates[{i}].{key}", minimum=0)
             gates.append(CnotGate(control=raw["control"], target=raw["target"]))
         else:
-            if not isinstance(raw.get("track"), int) or isinstance(raw.get("track"), bool):
-                raise ValueError(f"gates[{i}].track: expected an integer")
+            require_integer(raw.get("track"), name=f"gates[{i}].track", minimum=0)
             gates.append(SingleGate(kind=kind, track=raw["track"]))
     raw_noise = data.get("noise", {"p": 0.0, "q": 0.0})
     if not isinstance(raw_noise, dict):

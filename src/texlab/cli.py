@@ -47,7 +47,8 @@ from .serialize import (
     ARTIFACT_VERSION,
     dumps_canonical,
     dumps_csv,
-    parse_complex_field,
+    parse_complex_array,
+    require_integer,
 )
 from .states import DensityOperator
 from .texture import texture_report
@@ -80,28 +81,12 @@ def _state_from_json_dict(data: dict) -> DensityOperator:
         rows = data["matrix"]
         if not isinstance(rows, list) or not rows:
             raise ValueError("matrix: expected a non-empty list of rows")
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != len(rows):
-                raise ValueError(
-                    f"matrix[{i}]: expected a list of {len(rows)} entries, got {row!r}"
-                )
-        matrix = np.array(
-            [
-                [parse_complex_field(entry, name=f"matrix[{i}][{j}]")
-                 for j, entry in enumerate(row)]
-                for i, row in enumerate(rows)
-            ],
-            dtype=np.complex128,
-        )
-        return DensityOperator(matrix)
+        return DensityOperator(parse_complex_array(rows, (len(rows), len(rows)), name="matrix"))
     if "ket" in data:
         entries = data["ket"]
         if not isinstance(entries, list) or not entries:
             raise ValueError("ket: expected a non-empty list of amplitudes")
-        ket = np.array(
-            [parse_complex_field(entry, name=f"ket[{i}]") for i, entry in enumerate(entries)],
-            dtype=np.complex128,
-        )
+        ket = parse_complex_array(entries, (len(entries),), name="ket")
         norm = float(np.linalg.norm(ket))
         if norm <= 0.0 or not math.isfinite(norm):
             raise ValueError("ket: must have positive finite norm")
@@ -135,8 +120,7 @@ def _random_density(gen: np.random.Generator, dim: int) -> DensityOperator:
 
 
 def _cmd_channel_audit(args: argparse.Namespace) -> int:
-    if args.states < 1:
-        raise ValueError(f"--states: must be a positive integer, got {args.states}")
+    require_integer(args.states, name="--states", minimum=1)
     channel = channel_from_json_dict(_read_json(args.infile))
     certificate = texture_free_certificate(channel)
     gen = master_generator(args.seed)
@@ -194,8 +178,7 @@ def _parse_grid(spec: str) -> list[float]:
         raise ValueError(f"--grid: expected 'start:stop:count', got {spec!r}") from None
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"--grid: start and stop must be finite, got {spec!r}")
-    if count < 1:
-        raise ValueError(f"--grid: count must be positive, got {count}")
+    require_integer(count, name="--grid count", minimum=1)
     return [float(x) for x in np.linspace(start, stop, count)]
 
 

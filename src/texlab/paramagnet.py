@@ -121,9 +121,7 @@ def sampled_rugosity_per_spin(
 ) -> tuple[float, float]:
     """Monte Carlo estimate (mean, stderr) of the phase-averaged rugosity."""
     x = _validate_x(x)
-    require_integer(samples, name="samples")
-    if samples < 2:
-        raise ValueError(f"samples: must be at least 2, got {samples}")
+    require_integer(samples, name="samples", minimum=2)
     gen = master_generator(seed)
     phase = 2.0 * math.pi * gen.random(samples)
     vals = _integrand(x, math.pi - phase)

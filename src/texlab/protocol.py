@@ -132,13 +132,12 @@ def _averages(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
         1.0 - ((alpha**2).real - (beta**2).real) / 3.0,
         1.0 + 2.0 * (np.conj(alpha) * beta).real / 3.0,
         1.0 + 2.0 * (alpha * beta).real / 3.0,
-        1.0 + (np.abs(alpha) ** 2 - np.abs(beta) ** 2) / 3.0,
+        1.0 + (np.square(np.abs(alpha)) - np.square(np.abs(beta))) / 3.0,
     ])
 
 
 def expected_averages(basis: QubitBasis) -> tuple[float, float, float, float]:
-    """Haar-averaged grand sums (X, X~, Y, Y~) of a CNOT in ``basis``, read
-    off the kernel on 0-d arrays (whose |alpha|^2 is pow's, not a product)."""
+    """Haar-averaged grand sums (X, X~, Y, Y~) of a CNOT in ``basis``."""
     return tuple(_averages(np.array(basis.alpha), np.array(basis.beta)).tolist())
 
 
@@ -231,13 +230,9 @@ def run_protocol(
     binomial estimate drawn from a second derived stream in fixed
     track-major order.
     """
-    require_integer(trials, name="trials")
-    if trials < 1:
-        raise ValueError(f"trials: must be a positive integer, got {trials}")
+    require_integer(trials, name="trials", minimum=1)
     if shots is not None:
-        require_integer(shots, name="shots")
-        if shots < 1:
-            raise ValueError(f"shots: must be a positive integer, got {shots}")
+        require_integer(shots, name="shots", minimum=1)
     transfer = layer.transfer
     forms = _role_forms(layer)
     rows = [2 * int(i) for i in transfer.role]
@@ -1025,10 +1020,8 @@ def random_layer(
     control/target pair reversed), so such layers are not uniquely
     identifiable even in principle.
     """
-    require_integer(num_tracks, name="num_tracks")
+    require_integer(num_tracks, name="num_tracks", minimum=1)
     require_integer(num_cnots, name="num_cnots")
-    if num_tracks < 1:
-        raise ValueError(f"num_tracks: must be positive, got {num_tracks}")
     if num_cnots < 0 or 2 * num_cnots > num_tracks:
         raise ValueError(
             f"num_cnots: need 0 <= 2 * num_cnots <= num_tracks, got {num_cnots}"

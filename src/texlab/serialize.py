@@ -4,6 +4,10 @@ Reports must be byte-identical for identical inputs, so floats are emitted
 with a fixed 17-significant-digit format (enough to round-trip IEEE doubles)
 instead of relying on ``json.dumps`` float formatting. Infinities serialize
 as the string ``"inf"`` because JSON has no infinity literal.
+
+The shared input rules live here too: ``require_integer`` words every count
+refusal, and ``parse_complex_array`` reads every nested list of [re, im]
+entries, so each refusal names its field the same way everywhere.
 """
 
 from __future__ import annotations
@@ -99,11 +103,16 @@ def dumps_csv(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def require_integer(value: Any, *, name: str) -> None:
+def require_integer(value: Any, *, name: str, minimum: int | None = None) -> None:
     """Raise ValueError naming ``name`` unless ``value`` is an integer (a
-    NumPy integer counts, a bool does not)."""
+    NumPy integer counts, a bool does not) of at least ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        rule = {0: "be non-negative", 1: "be a positive integer"}.get(
+            minimum, f"be at least {minimum}"
+        )
+        raise ValueError(f"{name}: must {rule}, got {value}")
 
 
 def parse_complex_field(value: Any, *, name: str) -> complex:
@@ -115,3 +124,25 @@ def parse_complex_field(value: Any, *, name: str) -> complex:
         if isinstance(re, (int, float)) and isinstance(im, (int, float)):
             return complex(float(re), float(im))
     raise ValueError(f"{name}: expected [real, imag], got {value!r}")
+
+
+def parse_complex_array(value: Any, shape: tuple[int, ...], *, name: str) -> np.ndarray:
+    """Parse nested lists of ``parse_complex_field`` entries into a complex
+    array of ``shape``. A list of the wrong length, or a non-list where one
+    is due, is refused by its path (``name[i][j]``) before any array is
+    allocated: a list of entries at the last level, of rows above it."""
+    entries: list[complex] = []
+
+    def walk(item: Any, depth: int, path: str) -> None:
+        if depth == len(shape):
+            entries.append(parse_complex_field(item, name=path))
+            return
+        if not isinstance(item, list) or len(item) != shape[depth]:
+            what = "entries" if depth == len(shape) - 1 else "rows"
+            got = len(item) if isinstance(item, list) else type(item).__name__
+            raise ValueError(f"{path}: expected a list of {shape[depth]} {what}, got {got}")
+        for i, sub in enumerate(item):
+            walk(sub, depth + 1, f"{path}[{i}]")
+
+    walk(value, 0, name)
+    return np.array(entries, dtype=np.complex128).reshape(shape)

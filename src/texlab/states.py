@@ -65,10 +65,8 @@ def fourier_ket(dim: int, index: int) -> np.ndarray:
     Component j (1-based) is exp(2*pi*i*(index-1)*(j-1)/dim) / sqrt(dim).
     ``index=1`` gives the uniform-superposition ket.
     """
-    require_integer(dim, name="dim")
+    require_integer(dim, name="dim", minimum=1)
     require_integer(index, name="index")
-    if dim < 1:
-        raise ValueError(f"dim: must be a positive integer, got {dim}")
     if not 1 <= index <= dim:
         raise ValueError(f"index: must lie in 1..{dim}, got {index}")
     j = np.arange(dim)
@@ -78,9 +76,7 @@ def fourier_ket(dim: int, index: int) -> np.ndarray:
 
 def fourier_matrix(dim: int) -> np.ndarray:
     """Unitary whose k-th column is ``fourier_ket(dim, k)``."""
-    require_integer(dim, name="dim")
-    if dim < 1:
-        raise ValueError(f"dim: must be a positive integer, got {dim}")
+    require_integer(dim, name="dim", minimum=1)
     return np.stack([fourier_ket(dim, k) for k in range(1, dim + 1)], axis=1)
 
 
@@ -128,9 +124,7 @@ class DensityOperator:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
-        require_integer(dim, name="dim")
-        if dim < 1:
-            raise ValueError(f"dim: must be a positive integer, got {dim}")
+        require_integer(dim, name="dim", minimum=1)
         return cls(np.eye(dim, dtype=np.complex128) / dim)
 
 

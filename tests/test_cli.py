@@ -134,7 +134,7 @@ def test_channel_audit_rejects_non_positive_states(states, tmp_path, capsys):
     assert main(["channel-audit", "--in", infile, "--states", states]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: --states")
+    assert captured.err == f"error: --states: must be a positive integer, got {states}\n"
 
 
 def test_layer_gen_and_identify_round_trip(tmp_path, capsys):
@@ -302,6 +302,14 @@ _LAYER = {"tracks": 2, "hidden_basis": {"alpha": [1.0, 0.0], "beta": [0.0, 0.0]}
 BAD_INPUTS = {
     "matrix-row-not-a-list": ("texture", {"matrix": [1, 0]}, "matrix[0]"),
     "ragged-matrix": ("texture", {"matrix": [[1, 0], [0]]}, "matrix[1]"),
+    "short-ket-entry": ("texture", {"ket": [1, [0.5]]}, "ket[1]"),
+    "short-operator-row": (
+        "channel-audit", {"dim": 2, "operators": [[[1, 0], [0]]]}, "operators[0][1]"
+    ),
+    "zero-tracks": ("identify", {**_LAYER, "tracks": 0}, "tracks"),
+    "negative-gate-track": (
+        "identify", {**_LAYER, "gates": [{"kind": "H", "track": -1}]}, "gates[0].track"
+    ),
     "gate-kind-not-a-string": (
         "identify", {**_LAYER, "gates": [{"kind": ["H"], "track": 0}]}, "gates[0].kind"
     ),
@@ -321,6 +329,11 @@ def test_malformed_input_names_its_field(name, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {field}: ")
+
+
+def test_paramagnet_grid_count_refusal_wording(capsys):
+    assert main(["paramagnet", "--grid", "0:1:0"]) == 1
+    assert capsys.readouterr().err == "error: --grid count: must be a positive integer, got 0\n"
 
 
 def test_paramagnet_csv_and_json(tmp_path, capsys):

@@ -759,6 +759,24 @@ def _expected_averages_reference(basis):
     return float(x), float(xt), float(y), float(yt)
 
 
+def _kernel_averages(basis):
+    # The averages kernel on (1,) arrays, as recover_basis calls it.
+    return protocol._averages(np.array([basis.alpha]), np.array([basis.beta]))[:, 0]
+
+
+def test_expected_averages_rounds_as_the_kernel_on_arrays():
+    # |alpha|^2 is one square on 0-d and on (n,) arrays alike; pow on the
+    # 0-d scalars differed from the array square in Y~'s last bit on 22 of
+    # these bases.
+    rng = np.random.default_rng(2030)
+    mismatches = 0
+    for _ in range(50_000):
+        basis = _random_basis(rng)
+        got = np.array(expected_averages(basis))
+        mismatches += not np.array_equal(got.view(np.uint64), _kernel_averages(basis).view(np.uint64))
+    assert mismatches == 0
+
+
 def _recover_basis_reference(averages, stderr=0.0):
     # The former recover_basis, which scored its eight sign choices one
     # QubitBasis at a time through expected_averages, kept verbatim as an
@@ -810,7 +828,7 @@ def test_recover_basis_matches_the_scalar_sign_loop():
     # the scalar loop, entry for entry, on exact averages, on averages with
     # noise at stderr 1e-3, and on the degenerate branch (every fourth
     # basis has |alpha|^2 or |beta|^2 below 0.012); expected_averages keeps
-    # the former function's bits.
+    # the bits of the kernel on (1,) arrays, the form recover_basis reads.
     rng = np.random.default_rng(77)
     seen = {"two": 0, "degenerate": 0}
     for index in range(800):
@@ -823,8 +841,8 @@ def test_recover_basis_matches_the_scalar_sign_loop():
                 small, big = big, small
             basis = QubitBasis(alpha=big * a, beta=small * b)
         exact = np.array(expected_averages(basis))
-        former = np.array(_expected_averages_reference(basis))
-        assert np.array_equal(exact.view(np.uint64), former.view(np.uint64)), index
+        kernel = _kernel_averages(basis)
+        assert np.array_equal(exact.view(np.uint64), kernel.view(np.uint64)), index
         for stderr in (0.0, 1e-3):
             averages = exact + rng.normal(scale=stderr, size=4)
             got = recover_basis(averages, stderr=stderr)
@@ -1828,6 +1846,41 @@ PINNED_REPORTS = {
 def test_report_bytes_are_pinned(name):
     layer_kwargs, identify_kwargs, digest = PINNED_REPORTS[name]
     report = identify_layer(random_layer(**layer_kwargs), **identify_kwargs)
+    text = dumps_canonical(report_to_json_dict(report))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+class _MeasuredLayer:
+    # What an experiment knows of a layer: its track count and its declared
+    # noise. It has no hidden basis, gates or transfer tensors to read.
+    __slots__ = ("num_tracks", "noise")
+
+    def __init__(self, layer):
+        self.num_tracks = layer.num_tracks
+        self.noise = layer.noise
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_identification_reads_only_track_count_and_noise(name, monkeypatch):
+    # The measurement boundary: identify_layer, handed a stub of the layer,
+    # reaches the hidden layer only through the trial engine and the probe
+    # runs, and still gives the pinned bytes.
+    layer_kwargs, identify_kwargs, digest = PINNED_REPORTS[name]
+    hidden = random_layer(**layer_kwargs)
+    stub = _MeasuredLayer(hidden)
+
+    def measured(run):
+        def run_hidden(layer, *args, **kwargs):
+            assert layer is stub
+            return run(hidden, *args, **kwargs)
+
+        return run_hidden
+
+    monkeypatch.setattr(protocol, "run_protocol", measured(protocol.run_protocol))
+    monkeypatch.setattr(
+        protocol, "run_layer_with_inputs", measured(protocol.run_layer_with_inputs)
+    )
+    report = identify_layer(stub, **identify_kwargs)
     text = dumps_canonical(report_to_json_dict(report))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 

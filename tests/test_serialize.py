@@ -1,4 +1,5 @@
-"""Tests for canonical serialization and the integer-argument check."""
+"""Tests for canonical serialization and the shared input rules: the
+integer check with a minimum and the nested complex-array parser."""
 
 from __future__ import annotations
 
@@ -9,15 +10,24 @@ import re
 import numpy as np
 import pytest
 
-from texlab.channels import KrausChannel
+from texlab.channels import (
+    KrausChannel,
+    build_free_channel,
+    build_free_channel_mixed,
+    channel_from_json_dict,
+)
+from texlab.circuit import CircuitLayer, CnotGate, GateKind, SingleGate, layer_from_json_dict
+from texlab.cli import _state_from_json_dict
 from texlab.paramagnet import sampled_rugosity_per_spin
+from texlab.protocol import random_layer, run_protocol
 from texlab.serialize import (
     complex_pair,
     dumps_canonical,
     format_float,
+    parse_complex_array,
     parse_complex_field,
 )
-from texlab.states import DensityOperator, fourier_ket, fourier_matrix
+from texlab.states import DensityOperator, QubitBasis, fourier_ket, fourier_matrix
 
 
 def test_format_float_round_trips_doubles():
@@ -208,3 +218,150 @@ def test_integer_arguments_reject_floats_and_bools(name):
         with pytest.raises(ValueError, match=message):
             call(bad)
     call(np.int64(good))
+
+
+_CNOT_LAYER = CircuitLayer(
+    num_tracks=2, hidden_basis=QubitBasis.computational(), gates=(CnotGate(0, 1),)
+)
+_LAYER = {"tracks": 2, "hidden_basis": {"alpha": [1.0, 0.0], "beta": [0.0, 0.0]}}
+
+#: site -> (call with a value, name in the message, minimum)
+COUNT_SITES = {
+    "fourier_ket.dim": (lambda v: fourier_ket(v, 1), "dim", 1),
+    "fourier_matrix.dim": (fourier_matrix, "dim", 1),
+    "DensityOperator.maximally_mixed.dim": (DensityOperator.maximally_mixed, "dim", 1),
+    "KrausChannel.dim": (
+        lambda v: KrausChannel(dim=v, operators=(np.eye(2, dtype=complex),)), "dim", 1
+    ),
+    "build_free_channel.dim": (lambda v: build_free_channel(v, [1.0]), "dim", 1),
+    "build_free_channel_mixed.dim": (lambda v: build_free_channel_mixed(v, []), "dim", 1),
+    "SingleGate.track": (lambda v: SingleGate(kind=GateKind.T, track=v), "track", 0),
+    "CnotGate.control": (lambda v: CnotGate(control=v, target=5), "control", 0),
+    "CnotGate.target": (lambda v: CnotGate(control=5, target=v), "target", 0),
+    "CircuitLayer.num_tracks": (
+        lambda v: CircuitLayer(num_tracks=v, hidden_basis=QubitBasis.computational()),
+        "num_tracks",
+        1,
+    ),
+    "run_protocol.trials": (lambda v: run_protocol(_CNOT_LAYER, seed=1, trials=v), "trials", 1),
+    "run_protocol.shots": (
+        lambda v: run_protocol(_CNOT_LAYER, seed=1, trials=20, shots=v), "shots", 1
+    ),
+    "random_layer.num_tracks": (
+        lambda v: random_layer(num_tracks=v, num_cnots=0, seed=0), "num_tracks", 1
+    ),
+    "sampled_rugosity_per_spin.samples": (
+        lambda v: sampled_rugosity_per_spin(1.0, samples=v, seed=3), "samples", 2
+    ),
+    "layer_from_json_dict.tracks": (
+        lambda v: layer_from_json_dict({**_LAYER, "tracks": v}), "tracks", 1
+    ),
+    "layer_from_json_dict.gates.track": (
+        lambda v: layer_from_json_dict({**_LAYER, "gates": [{"kind": "H", "track": v}]}),
+        r"gates\[0\]\.track",
+        0,
+    ),
+    "layer_from_json_dict.gates.control": (
+        lambda v: layer_from_json_dict(
+            {**_LAYER, "gates": [{"kind": "CNOT", "control": v, "target": 1}]}
+        ),
+        r"gates\[0\]\.control",
+        0,
+    ),
+    "layer_from_json_dict.gates.target": (
+        lambda v: layer_from_json_dict(
+            {**_LAYER, "gates": [{"kind": "CNOT", "control": 0, "target": v}]}
+        ),
+        r"gates\[0\]\.target",
+        0,
+    ),
+}
+
+_RULES = {0: "be non-negative", 1: "be a positive integer", 2: "be at least 2"}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_SITES))
+def test_count_sites_word_their_refusal_once(name):
+    # Every count argument refuses a value below its minimum, True and 1.5
+    # with the shared wording, naming the argument.
+    call, field, minimum = COUNT_SITES[name]
+    below = minimum - 1
+    with pytest.raises(ValueError, match=rf"^{field}: must {_RULES[minimum]}, got {below}$"):
+        call(below)
+    with pytest.raises(ValueError, match=rf"^{field}: must {_RULES[minimum]}, got {below}$"):
+        call(np.int64(below))
+    for bad in (True, 1.5):
+        with pytest.raises(ValueError, match=rf"^{field}: expected an integer, got {bad!r}$"):
+            call(bad)
+
+
+@pytest.mark.parametrize("dim", [0, True, 1.5])
+def test_channel_reader_keeps_its_own_dim_line(dim):
+    # A JSON dim is refused on one line, whatever is wrong with it.
+    with pytest.raises(ValueError, match=rf"^dim: must be a positive integer, got {dim!r}$"):
+        channel_from_json_dict({"dim": dim, "operators": [[[[1.0, 0.0]]]]})
+
+
+def test_parse_complex_array_names_the_path_of_a_wrong_list():
+    good = [[[1, 0], [0, 1]], [[0.5, [0.0, -1.0]], [2, 3]]]
+    got = parse_complex_array(good, (2, 2, 2), name="a")
+    want = np.array([[[1, 0], [0, 1]], [[0.5, -1j], [2, 3]]], dtype=np.complex128)
+    assert got.dtype == np.complex128 and got.shape == (2, 2, 2)
+    assert np.array_equal(got, want)
+    cases = [
+        ([[[1, 0], [0, 1]]], r"^a: expected a list of 2 rows, got 1$"),
+        ("x", r"^a: expected a list of 2 rows, got str$"),
+        ([good[0], [[1, 0]]], r"^a\[1\]: expected a list of 2 rows, got 1$"),
+        ([good[0], [[1, 0], 7]], r"^a\[1\]\[1\]: expected a list of 2 entries, got int$"),
+        ([good[0], [[1, 0], [2, 3, 4]]], r"^a\[1\]\[1\]: expected a list of 2 entries, got 3$"),
+        ([good[0], [[1, 0], [2, "z"]]], r"^a\[1\]\[1\]\[1\]: expected \[real, imag\], got 'z'$"),
+    ]
+    for value, message in cases:
+        with pytest.raises(ValueError, match=message):
+            parse_complex_array(value, (2, 2, 2), name="a")
+
+
+#: reader -> (parse a field value, list of cases (value, message))
+READERS = {
+    "matrix": (
+        lambda v: _state_from_json_dict({"matrix": v}),
+        [
+            ([], r"^matrix: expected a non-empty list of rows$"),
+            ([[1, 0], [0]], r"^matrix\[1\]: expected a list of 2 entries, got 1$"),
+            ([[1, 0, 0], [0, 1]], r"^matrix\[0\]: expected a list of 2 entries, got 3$"),
+            ([1, 0], r"^matrix\[0\]: expected a list of 2 entries, got int$"),
+            ([[1, 0], [0, [1.0]]], r"^matrix\[1\]\[1\]: expected \[real, imag\], got \[1\.0\]$"),
+        ],
+    ),
+    "ket": (
+        lambda v: _state_from_json_dict({"ket": v}),
+        [
+            ([], r"^ket: expected a non-empty list of amplitudes$"),
+            ([1, [0, 1, 2]], r"^ket\[1\]: expected \[real, imag\], got \[0, 1, 2\]$"),
+        ],
+    ),
+    "operators": (
+        lambda v: channel_from_json_dict({"dim": 2, "operators": v}),
+        [
+            ([], r"^operators: expected a non-empty list$"),
+            ([np.eye(2).tolist(), [[1, 0]]], r"^operators\[1\]: expected a list of 2 rows, got 1$"),
+            ([[[1, 0], [0]]], r"^operators\[0\]\[1\]: expected a list of 2 entries, got 1$"),
+            ([[[1, 0], [0, 1, 0]]], r"^operators\[0\]\[1\]: expected a list of 2 entries, got 3$"),
+            ([[[1, 0], [0, [1]]]], r"^operators\[0\]\[1\]\[1\]: expected \[real, imag\], got \[1\]$"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_json_readers_name_a_wrong_list_at_every_depth(reader):
+    parse, cases = READERS[reader]
+    for value, message in cases:
+        with pytest.raises(ValueError, match=message):
+            parse(value)
+
+
+def test_channel_reader_refuses_a_short_operator_before_allocating():
+    # The declared dim alone would ask for a 16 TB array.
+    with pytest.raises(ValueError, match=r"^operators\[0\]: expected a list of 1000000 rows, got 1$"):
+        channel_from_json_dict({"dim": 10**6, "operators": [[[1.0, 0.0]]]})
