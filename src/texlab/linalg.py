@@ -32,6 +32,20 @@ def as_complex_matrix(matrix, *, name: str = "matrix") -> np.ndarray:
     return out
 
 
+def is_frozen_complex(array) -> bool:
+    """True for a read-only, C-ordered complex128 ``ndarray`` that owns its
+    data: one a validated value may hold without copying it."""
+    if type(array) is not np.ndarray:
+        return False
+    flags = array.flags
+    return (
+        array.dtype == np.complex128
+        and flags.c_contiguous
+        and flags.owndata
+        and not flags.writeable
+    )
+
+
 def as_ket(vector, *, name: str = "ket") -> np.ndarray:
     """Coerce ``vector`` to a 1-D complex128 unit vector.
 

@@ -115,13 +115,19 @@ def require_integer(value: Any, *, name: str, minimum: int | None = None) -> Non
         raise ValueError(f"{name}: must {rule}, got {value}")
 
 
+def _is_real(value: Any) -> bool:
+    """An int or a float, but not a bool (a JSON true is no amplitude)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def parse_complex_field(value: Any, *, name: str) -> complex:
-    """Parse a [real, imag] pair (a bare real number is accepted)."""
-    if isinstance(value, (int, float)):
+    """Parse a [real, imag] pair (a bare real number is accepted; a bool,
+    bare or in the pair, is refused)."""
+    if _is_real(value):
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
         re, im = value
-        if isinstance(re, (int, float)) and isinstance(im, (int, float)):
+        if _is_real(re) and _is_real(im):
             return complex(float(re), float(im))
     raise ValueError(f"{name}: expected [real, imag], got {value!r}")
 

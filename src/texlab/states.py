@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_complex_matrix, as_ket
+from .linalg import as_ket, is_frozen_complex
 from .serialize import require_integer
 
 #: Hermiticity / trace tolerances for density-operator validation.
@@ -82,7 +82,17 @@ def fourier_matrix(dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Validated density operator (Hermitian, unit trace).
+    """Validated density operator (Hermitian, unit trace), held as one
+    read-only, C-ordered complex128 matrix.
+
+    A matrix that is already a read-only, C-ordered complex128 ``ndarray``
+    owning its data (``linalg.is_frozen_complex``, the rule Kraus operator
+    stacks follow too) is adopted without a copy; any other input is
+    copied, so the state never shares memory with a writable array. Either
+    way the matrix is checked once, in the order 2-D, finite, square,
+    Hermitian (max|m - m^H| <= HERMITICITY_ATOL), unit trace. Finiteness
+    comes before the Hermiticity test, whose m - m^H would warn on
+    inf - inf.
 
     Positivity is not enforced at construction; call ``validate_positive``
     where the eigenvalue floor matters.
@@ -91,17 +101,21 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_complex_matrix(self.matrix, name="matrix")
+        m = self.matrix
+        if not is_frozen_complex(m):
+            m = np.array(m, dtype=np.complex128, order="C")
+            m.setflags(write=False)
+        if m.ndim != 2:
+            raise ValueError(f"matrix: expected a 2-D array, got shape {m.shape}")
+        if np.count_nonzero(np.isfinite(m)) != m.size:  # cheaper than .all()
+            raise ValueError("matrix: entries must be finite")
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"matrix: must be square, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
-            raise ValueError(
-                f"matrix: not Hermitian within {HERMITICITY_ATOL}"
-            )
-        trace = complex(np.trace(m))
+        if np.abs(m - m.conj().T).max() > HERMITICITY_ATOL:
+            raise ValueError(f"matrix: not Hermitian within {HERMITICITY_ATOL}")
+        trace = complex(m.diagonal().sum())
         if abs(trace - 1.0) > TRACE_ATOL:
             raise ValueError(f"matrix: trace {trace!r} is not 1 within {TRACE_ATOL}")
-        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from texlab.channels import (
     _MATMUL_MNK,
+    _MATVEC_MN,
     KrausChannel,
     apply_channel,
     build_free_channel,
@@ -20,7 +22,14 @@ from texlab.channels import (
     monotonicity_audit,
     texture_free_certificate,
 )
-from texlab.states import DensityOperator, fourier_ket, fourier_matrix
+from texlab.linalg import as_complex_matrix
+from texlab.states import (
+    HERMITICITY_ATOL,
+    TRACE_ATOL,
+    DensityOperator,
+    fourier_ket,
+    fourier_matrix,
+)
 from texlab.texture import grand_sum
 
 
@@ -505,3 +514,183 @@ def test_mixed_dim16_audit_job_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 3.25 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the density check and the adopted channel output
+
+
+@dataclass(frozen=True)
+class _FormerDensityOperator:
+    # The former DensityOperator validation, kept verbatim as an exact
+    # oracle: a copy, then 2-D, finite, square, Hermitian and trace checks.
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        m = as_complex_matrix(self.matrix, name="matrix")
+        if m.shape[0] != m.shape[1]:
+            raise ValueError(f"matrix: must be square, got shape {m.shape}")
+        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_ATOL:
+            raise ValueError(
+                f"matrix: not Hermitian within {HERMITICITY_ATOL}"
+            )
+        trace = complex(np.trace(m))
+        if abs(trace - 1.0) > TRACE_ATOL:
+            raise ValueError(f"matrix: trace {trace!r} is not 1 within {TRACE_ATOL}")
+        m.setflags(write=False)
+        object.__setattr__(self, "matrix", m)
+
+
+def _former_apply_channel(channel: KrausChannel, rho) -> _FormerDensityOperator:
+    # The former apply_channel, kept verbatim but for the former validation.
+    if rho.dim != channel.dim:
+        raise ValueError(
+            f"rho: dim {rho.dim} does not match channel dim {channel.dim}"
+        )
+    dim = channel.dim
+    sup = channel._superoperator
+    if sup is not None:
+        vec = rho.matrix.reshape(-1)
+        out = np.empty(dim * dim, dtype=np.complex128)
+        rows = max(1, _MATVEC_MN // (dim * dim))
+        for i in range(0, dim * dim, rows):
+            np.matmul(sup[i : i + rows], vec, out=out[i : i + rows])
+        out = out.reshape(dim, dim)
+        return _FormerDensityOperator(0.5 * (out + out.conj().T))
+    out_conj = np.zeros((dim, dim), dtype=np.complex128)
+    for block in channel._gemm_blocks():
+        images = np.matmul(block, rho.matrix)
+        np.conjugate(images, out=images)
+        out_conj += images.reshape(dim, -1) @ block.reshape(dim, -1).T
+    return _FormerDensityOperator(0.5 * (out_conj.conj() + out_conj.T))
+
+
+def _outcome(make, value):
+    """("ok", matrix bytes, shape) or ("raise", exception type, message)."""
+    try:
+        m = make(value).matrix
+    except Exception as exc:  # compared with the oracle's, type and message
+        return ("raise", type(exc), str(exc))
+    assert m.dtype == np.complex128 and m.flags.c_contiguous and not m.flags.writeable
+    return ("ok", m.tobytes(), m.shape)
+
+
+def _wishart(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def _frozen(m):
+    m = np.array(m, dtype=np.complex128)
+    m.setflags(write=False)
+    return m
+
+
+def _density_inputs(rng):
+    """Valid states and malformed matrices: every kind of refusal, each
+    offending entry on and off the diagonal."""
+    inputs = []
+    for dim in range(1, 17):
+        w = _wishart(rng, dim)
+        inputs += [w, _frozen(w), w.T.conj(), w.tolist()]
+    base = _wishart(rng, 3)
+    inputs += [
+        [[0.5, 0], [0, 0.5]],
+        [[0.5, [0.1, 0.2]], [[0.1, -0.2], 0.5]],
+        np.eye(3) / 3,
+        np.diag([0.25, 0.75]).astype(np.float32),
+        np.eye(2, dtype=int),
+        np.full(3, 1 / 3),
+        np.full((2, 2, 2), 0.25),
+        np.full((2, 3), 0.1),
+        np.zeros((0, 0)),
+        np.zeros((0, 3)),
+        5.0,
+        [["a", "b"], ["c", "d"]],
+        [[1.0, 0.0], [0.0]],
+    ]
+    nan_non_square = np.full((2, 3), 0.1)
+    nan_non_square[1, 2] = np.nan
+    inputs.append(nan_non_square)
+    nan_1d = np.full(3, 1 / 3)
+    nan_1d[0] = np.nan
+    inputs.append(nan_1d)
+    for value in (np.nan, np.inf, -np.inf, complex(np.inf, np.inf), complex(0, np.inf)):
+        for i, j in ((0, 0), (2, 2), (0, 1), (2, 0)):
+            m = base.astype(np.complex128)
+            m[i, j] = value
+            inputs.append(m)
+            if i != j:  # the same entry mirrored: Hermitian in form
+                m = m.copy()
+                m[j, i] = np.conj(value)
+                inputs.append(m)
+    for delta in (2e-10, 0.5e-10):
+        m = base.copy()
+        m[0, 1] += delta  # non-Hermitian by delta
+        inputs.append(m)
+        m = base.copy()
+        m[1, 1] += delta  # trace off by delta, still Hermitian
+        inputs.append(m)
+        m = base.copy()
+        m[2, 0] += 1j * delta
+        inputs.append(m)
+    return inputs
+
+
+def test_density_check_matches_the_former_one_for_every_input():
+    # pytest turns a RuntimeWarning into an error (pyproject.toml), so a
+    # check that let m - m^H warn on inf - inf would differ from the oracle.
+    rng = np.random.default_rng(64)
+    seen = set()
+    for value in _density_inputs(rng):
+        got = _outcome(DensityOperator, value)
+        assert got == _outcome(_FormerDensityOperator, value)
+        seen.add(got[0] if got[0] == "ok" else got[2])
+    # The table reaches acceptance and every refusal.
+    for want in (
+        "ok",
+        "matrix: expected a 2-D array",
+        "matrix: entries must be finite",
+        "matrix: must be square",
+        "matrix: not Hermitian within",
+        "matrix: trace (1.0000000002",
+    ):
+        assert any(message.startswith(want) for message in seen), want
+
+
+def test_channel_outputs_are_bit_identical_to_the_former_apply():
+    rng = np.random.default_rng(65)
+    channels = _oracle_channels(rng)
+    channels.append(KrausChannel(dim=5, operators=(np.eye(5)[[2, 0, 4, 1, 3]],)))
+    channels.append(build_free_channel(12, _random_ket(rng, 12)))  # three S row blocks
+    paths = {ch._superoperator is not None for ch in channels}
+    assert paths == {True, False}
+    for ch in channels:
+        for rho in _oracle_states(rng, ch.dim):
+            got = apply_channel(ch, rho)
+            want = _former_apply_channel(ch, rho)
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            assert got.matrix.flags.owndata and not got.matrix.flags.writeable
+
+
+def test_read_only_owned_matrix_is_adopted_and_any_other_is_copied():
+    rng = np.random.default_rng(66)
+    frozen = _frozen(_wishart(rng, 4))
+    assert DensityOperator(frozen).matrix is frozen
+    writable = frozen.copy()
+    state = DensityOperator(writable)
+    assert state.matrix is not writable and not state.matrix.flags.writeable
+    writable[0, 0] = 7.0
+    assert state.matrix.tobytes() == frozen.tobytes()
+    base = frozen.copy()
+    view = base[:, :]
+    view.setflags(write=False)  # read-only, but its base is writable
+    state = DensityOperator(view)
+    assert state.matrix is not view and state.matrix.base is None
+    base[1, 2] = 7.0
+    assert state.matrix.tobytes() == frozen.tobytes()
+    for other in (frozen.T.conj(), frozen.real.copy(), frozen.tolist()):
+        state = DensityOperator(other)
+        assert type(state.matrix) is np.ndarray and state.matrix is not other
+        assert state.matrix.flags.c_contiguous and state.matrix.flags.owndata

@@ -432,6 +432,16 @@ CLI_OUTPUT_DIGESTS = {
          "--shots", "1000"],
         "300c52705867f0f5499ed53ee20ab7714280164dba84aba7e41027f29c12fa3b",
     ),
+    # dim 4, 16 operators: applied through the cached superoperator.
+    "channel-audit-free-superoperator": (
+        ["channel-audit", "--in", "free.json", "--states", "20", "--seed", "7"],
+        "1a761a65e39af3fbcfdc07519845b5ed7d74676990a27414fede39771e9a4395",
+    ),
+    # dim 5, one permutation operator: applied through the Kraus products.
+    "channel-audit-permutation-kraus": (
+        ["channel-audit", "--in", "perm.json", "--states", "20", "--seed", "7"],
+        "4d9fd4d891b572e4a8133c2a6887306839587a07fd3cf72d1eb48cf8ad0b19bc",
+    ),
 }
 
 
@@ -442,6 +452,14 @@ def test_cli_output_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
     _write_json(
         tmp_path / "matrix.json",
         {"matrix": [[0.7, [0.2, 0.1]], [[0.2, -0.1], 0.3]]},
+    )
+    _write_json(
+        tmp_path / "free.json",
+        channel_to_json_dict(build_free_channel(4, np.array([0.5, 0.5j, -0.5, 0.5]))),
+    )
+    _write_json(
+        tmp_path / "perm.json",
+        channel_to_json_dict(KrausChannel(dim=5, operators=(np.eye(5)[[2, 0, 4, 1, 3]],))),
     )
     assert main(
         ["layer-gen", "--tracks", "4", "--cnots", "1", "--seed", "5",

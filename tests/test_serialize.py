@@ -331,6 +331,9 @@ READERS = {
             ([[1, 0, 0], [0, 1]], r"^matrix\[0\]: expected a list of 2 entries, got 3$"),
             ([1, 0], r"^matrix\[0\]: expected a list of 2 entries, got int$"),
             ([[1, 0], [0, [1.0]]], r"^matrix\[1\]\[1\]: expected \[real, imag\], got \[1\.0\]$"),
+            # A JSON bool is no amplitude, bare or inside a pair.
+            ([[True, 0], [0, 0]], r"^matrix\[0\]\[0\]: expected \[real, imag\], got True$"),
+            ([[0.5, 0], [0, [0.5, False]]], r"^matrix\[1\]\[1\]: expected \[real, imag\], got \[0\.5, False\]$"),
         ],
     ),
     "ket": (
@@ -338,6 +341,8 @@ READERS = {
         [
             ([], r"^ket: expected a non-empty list of amplitudes$"),
             ([1, [0, 1, 2]], r"^ket\[1\]: expected \[real, imag\], got \[0, 1, 2\]$"),
+            ([True, False], r"^ket\[0\]: expected \[real, imag\], got True$"),
+            ([0.6, [True, 1.0]], r"^ket\[1\]: expected \[real, imag\], got \[True, 1\.0\]$"),
         ],
     ),
     "operators": (
@@ -348,6 +353,8 @@ READERS = {
             ([[[1, 0], [0]]], r"^operators\[0\]\[1\]: expected a list of 2 entries, got 1$"),
             ([[[1, 0], [0, 1, 0]]], r"^operators\[0\]\[1\]: expected a list of 2 entries, got 3$"),
             ([[[1, 0], [0, [1]]]], r"^operators\[0\]\[1\]\[1\]: expected \[real, imag\], got \[1\]$"),
+            ([[[True, 0], [0, 1]]], r"^operators\[0\]\[0\]\[0\]: expected \[real, imag\], got True$"),
+            ([[[1, 0], [0, [1, False]]]], r"^operators\[0\]\[1\]\[1\]: expected \[real, imag\], got \[1, False\]$"),
         ],
     ),
 }
