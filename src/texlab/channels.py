@@ -48,9 +48,12 @@ def _operator_stack(operators, dim: int) -> np.ndarray:
     """Read-only (K, dim, dim) complex128 stack of ``operators``.
 
     A stack that is already read-only, C-ordered, complex128 and owns its
-    data is adopted as is; any other array is copied. Arrays are checked in
-    one vectorised pass, other iterables operator by operator, then
-    stacked once. Errors name the first offending ``operators[i]``.
+    data is adopted as is; any other array is copied. Adoption trusts the
+    owner, who could make the stack writable again and write to it past
+    the checks: library code hands over only its own fresh stacks, and a
+    caller that passes a frozen one takes on the same rule. Arrays are
+    checked in one vectorised pass, other iterables operator by operator,
+    then stacked once. Errors name the first offending ``operators[i]``.
     """
     if isinstance(operators, np.ndarray):
         stack = operators
@@ -88,12 +91,14 @@ class KrausChannel:
     ``operators`` is validated at construction and frozen as one read-only
     (K, dim, dim) complex128 stack, the channel's only copy (see
     ``_operator_stack``): a stack that is already read-only, C-ordered,
-    complex128 and owns its data is adopted without a copy. Each kernel
-    reads views of it, one block of operators at a time, small enough that
-    its products stay on the calling thread. A block holds
-    max(1, 65535 // dim**3) operators for matrix products (1023 at dim 4,
-    15 at dim 16; one from dim 41 on) and max(1, 4095 // dim**2) for the
-    certificate's matrix-vector products.
+    complex128 and owns its data is adopted without a copy, trusting its
+    owner never to make it writable again. Each kernel reads views of it,
+    one block of operators at a time, small enough that its products stay
+    on the calling thread (NumPy runs a stacked product as one BLAS call
+    per stack element, so a stack is bounded as each of its products is).
+    A block holds max(1, 65535 // dim**3) operators for matrix products
+    (1023 at dim 4, 15 at dim 16; one from dim 41 on) and
+    max(1, 4095 // dim**2) for the certificate's matrix-vector products.
 
     A channel with at least dim**2 operators also caches its superoperator
     S = sum_k K_k (x) conj(K_k), a read-only (dim**2, dim**2) array no
@@ -165,11 +170,15 @@ class KrausChannel:
         S[(a, b), (c, d)] = sum_k K_k[a, c] conj(K_k[b, d]). Viewed as
         [a, b, c, d], tile S[a, b] = K[:, a, :]^T conj(K[:, b, :]) is one
         (dim x k) @ (k x dim) product per block of k <= 65535 // dim**2
-        operators (255 at dim 16; the blocks are near-equal), written in
-        place. The reshuffled Choi matrix C[(a, c), (b, d)] = S[(a, b),
-        (c, d)] is Hermitian, so only tiles with a <= b are computed and
-        S[b, a] = S[a, b]^H; a diagonal tile gets its lower triangle from
-        its upper one and a real diagonal.
+        operators (255 at dim 16; the blocks are near-equal). The
+        reshuffled Choi matrix C[(a, c), (b, d)] = S[(a, b), (c, d)] is
+        Hermitian, so only tiles with a <= b are computed: for each column
+        index b, the tiles a <= b are one stacked ``np.matmul``, which
+        NumPy runs as one such product per tile, written in place for the
+        first block and through one (dim, dim, dim) buffer and one ``+=``
+        for each later one. S[b, a] = S[a, b]^H, one conjugate per row of
+        tiles; a diagonal tile gets its lower triangle from its upper one
+        and a real diagonal.
         """
         dim = self.dim
         ops = self.operators
@@ -179,25 +188,24 @@ class KrausChannel:
         blocks = -(-count // max(1, _MATMUL_MNK // (dim * dim)))
         edges = [count * i // blocks for i in range(blocks + 1)]
         sup = np.empty((dim, dim, dim, dim), dtype=np.complex128)
-        product = np.empty((dim, dim), dtype=np.complex128)
+        products = np.empty((dim, dim, dim), dtype=np.complex128)
         for lo, hi in zip(edges, edges[1:]):
             block = ops[lo:hi]
+            columns = block.transpose(1, 2, 0)  # [a, c, k]: K[:, a, :]^T
             for b in range(dim):
                 conj_rows = block[:, b, :].conj()  # [k, d]
-                for a in range(b + 1):
-                    if lo == 0:
-                        np.matmul(block[:, a, :].T, conj_rows, out=sup[a, b])
-                    else:
-                        np.matmul(block[:, a, :].T, conj_rows, out=product)
-                        sup[a, b] += product
+                if lo == 0:
+                    np.matmul(columns[: b + 1], conj_rows, out=sup[: b + 1, b])
+                else:
+                    np.matmul(columns[: b + 1], conj_rows, out=products[: b + 1])
+                    sup[: b + 1, b] += products[: b + 1]
         lower = np.tril_indices(dim, -1)
         diagonal = np.arange(dim)
         for a in range(dim):
             tile = sup[a, a]
             tile[lower] = tile.T[lower].conj()
             tile.imag[diagonal, diagonal] = 0.0
-            for b in range(a + 1, dim):
-                np.conjugate(sup[a, b].T, out=sup[b, a])
+            np.conjugate(sup[a, a + 1 :].transpose(0, 2, 1), out=sup[a + 1 :, a])
         sup = sup.reshape(dim * dim, dim * dim)
         sup.setflags(write=False)
         return sup
@@ -208,10 +216,12 @@ def apply_channel(channel: KrausChannel, rho: DensityOperator) -> DensityOperato
 
     With a cached superoperator S, one matrix-vector product S vec(rho)
     when S has at most 4095 // dim**2 rows (dim <= 7), else one per row
-    block of that many rows; otherwise two matrix products per (dim, k,
-    dim) view of the operator stack. The output's Hermitian part is formed
-    in place and frozen, so the returned ``DensityOperator`` adopts it
-    without a copy and still checks it.
+    block of that many rows: the full blocks as one stacked ``np.matmul``
+    over a (blocks, rows, dim**2) view of S, which NumPy runs as one
+    product per block, and the remaining rows as one more call. Otherwise
+    two matrix products per (dim, k, dim) view of the operator stack. The
+    output's Hermitian part is formed in place and frozen, so the returned
+    ``DensityOperator`` adopts it without a copy and still checks it.
     """
     if rho.dim != channel.dim:
         raise ValueError(
@@ -220,14 +230,18 @@ def apply_channel(channel: KrausChannel, rho: DensityOperator) -> DensityOperato
     dim = channel.dim
     sup = channel._superoperator
     if sup is not None:
+        size = dim * dim
         vec = rho.matrix.reshape(-1)
-        rows = max(1, _MATVEC_MN // (dim * dim))
-        if rows >= dim * dim:
+        rows = max(1, _MATVEC_MN // size)
+        if rows >= size:
             out = sup @ vec
         else:
-            out = np.empty(dim * dim, dtype=np.complex128)
-            for i in range(0, dim * dim, rows):
-                np.matmul(sup[i : i + rows], vec, out=out[i : i + rows])
+            out = np.empty(size, dtype=np.complex128)
+            full = size - size % rows
+            blocks = sup[:full].reshape(-1, rows, size)
+            np.matmul(blocks, vec, out=out[:full].reshape(-1, rows))
+            if full < size:
+                np.matmul(sup[full:], vec, out=out[full:])
         out = out.reshape(dim, dim)
         herm = out + out.conj().T
     else:
@@ -300,7 +314,9 @@ def _free_operators_for_target(target: np.ndarray, out: np.ndarray) -> None:
     is (1/D) * (P1 + c_n * S_l) with c_n = omega^n / sqrt(D), where P1
     projects onto the uniform ket and S_l couples the shifted target
     amplitudes to the deviation of each column from the uniform average.
-    Each shift's dim operators are written at once.
+    All dim shifts are written at once: the S_l come from (shift, row,
+    column) index arrays, and one multiply fills the (shift, n, row,
+    column) view of ``out``.
     """
     dim = target.shape[0]
     omega = np.exp(2j * np.pi / dim)
@@ -310,17 +326,16 @@ def _free_operators_for_target(target: np.ndarray, out: np.ndarray) -> None:
     # One scalar power per n, as the per-operator form took them, so the
     # operators' bits do not depend on how NumPy rounds an array power.
     phases = np.array([omega**n / np.sqrt(dim) for n in range(1, dim + 1)])
-    phases = phases[:, None, None]
-    for shift in range(dim):
-        rows = (i + shift) % dim
-        m1 = np.zeros((dim, dim), dtype=np.complex128)
-        m1[rows, i] = column_phases * target[rows]
-        w = m1.sum(axis=1)
-        s = dim * m1 - np.outer(w, np.ones(dim))
-        family = out[shift * dim : (shift + 1) * dim]
-        np.multiply(phases, s, out=family)
-        family += p1
-        family /= dim
+    shift = i[:, None]
+    rows = (i + shift) % dim  # [shift, column]
+    m1 = np.zeros((dim, dim, dim), dtype=np.complex128)
+    m1[shift, rows, i] = column_phases * target[rows]
+    w = m1.sum(axis=2)  # [shift, row]
+    s = dim * m1 - w[:, :, None] * np.ones(dim)
+    family = out.reshape(dim, dim, dim, dim)
+    np.multiply(phases[:, None, None], s[:, None], out=family)
+    family += p1
+    family /= dim
 
 
 def build_free_channel(dim: int, target) -> KrausChannel:

@@ -43,6 +43,15 @@ MAX_POINTS = 1 << 22
 _FIRST_STEP = 1.0 / 16.0
 _EXTENT = 4.0
 
+#: Quadrature levels whose weights and sin^2(t/2) are kept once built:
+#: 129 + 128 + 256 + ... + 2048 = 4097 nodes, 64 KiB. Deeper levels, which
+#: no tested field reaches, are rebuilt on each call that needs them.
+_TABLED_LEVELS = 6
+
+#: (weights, sin^2(t/2)) by level, each filled on first use. Two threads
+#: that build the same level at once store equal arrays under one key.
+_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
 
 def _validate_x(x: float) -> float:
     x = float(x)
@@ -68,20 +77,42 @@ def coherent_grand_sum(x: float, phase) -> np.ndarray | float:
     return value
 
 
-def _integrand(x: float, t: np.ndarray) -> np.ndarray:
-    """-ln(sigma(x, pi - t) / 2), free of cancellation near t = 0.
+def _integrand(x: float, sin2: np.ndarray) -> np.ndarray:
+    """-ln(sigma(x, pi - t) / 2) from sin2 = sin^2(t/2), free of
+    cancellation near t = 0.
 
     With c = sech x, 1 + c cos(pi - t) = (1 - c) + 2c sin^2(t/2).
     """
     c, gap = _sech(x)
-    return -np.log(0.5 * gap + c * np.sin(0.5 * t) ** 2)
+    return -np.log(0.5 * gap + c * sin2)
 
 
-def _level_sum(x: float, s: np.ndarray) -> float:
-    """Sum of tanh-sinh terms on [0, pi] at node parameters s, without h."""
+def _level_table(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (cosh(s) / cosh(u)^2, sin^2(t/2)) at the node parameters
+    s = k h of a level, h = _FIRST_STEP / 2**level: every k with
+    |s| <= _EXTENT at level 0, the odd k after. Neither depends on the
+    field, so levels below ``_TABLED_LEVELS`` are built once."""
+    table = _tables.get(level)
+    if table is not None:
+        return table
+    h = _FIRST_STEP / 2**level
+    half = round(_EXTENT / _FIRST_STEP) << level
+    k = np.arange(1 - half, half, 2) if level else np.arange(-half, half + 1)
+    s = k * h
     u = 0.5 * math.pi * np.sinh(s)
     t = math.pi / (1.0 + np.exp(-2.0 * u))
-    terms = np.cosh(s) / np.cosh(u) ** 2 * _integrand(x, t)
+    table = (np.cosh(s) / np.cosh(u) ** 2, np.sin(0.5 * t) ** 2)
+    for column in table:
+        column.setflags(write=False)
+    if level < _TABLED_LEVELS:
+        _tables[level] = table
+    return table
+
+
+def _level_sum(x: float, level: int) -> float:
+    """Sum of a level's tanh-sinh terms on [0, pi], without h."""
+    weights, sin2 = _level_table(level)
+    terms = weights * _integrand(x, sin2)
     return float(np.sum(terms[np.isfinite(terms)]))
 
 
@@ -98,16 +129,20 @@ def averaged_rugosity_per_spin(x: float) -> float:
     coarser nodes, until two levels agree to ``RTOL``. The error roughly
     squares with each halving, so the returned finer level is far tighter
     than ``RTOL``. A level past ``MAX_POINTS`` nodes raises RuntimeError.
+    Each level's cosh(s) / cosh^2(u) and sin^2(t/2) are tabulated on first
+    use (see ``_level_table``), so a level costs one log and one sum.
     """
     x = _validate_x(x)
     h = _FIRST_STEP
     half = round(_EXTENT / h)
-    total = _level_sum(x, np.arange(-half, half + 1) * h)
+    level = 0
+    total = _level_sum(x, level)
     value = 0.25 * math.pi * h * total
     while 4 * half + 1 <= MAX_POINTS:
         h *= 0.5
         half *= 2
-        total += _level_sum(x, np.arange(1 - half, half, 2) * h)
+        level += 1
+        total += _level_sum(x, level)
         prev, value = value, 0.25 * math.pi * h * total
         if abs(value - prev) <= RTOL * max(1.0, abs(value)):
             return value
@@ -124,7 +159,7 @@ def sampled_rugosity_per_spin(
     require_integer(samples, name="samples", minimum=2)
     gen = master_generator(seed)
     phase = 2.0 * math.pi * gen.random(samples)
-    vals = _integrand(x, math.pi - phase)
+    vals = _integrand(x, np.sin(0.5 * (math.pi - phase)) ** 2)
     return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(samples))
 
 

@@ -88,11 +88,15 @@ class DensityOperator:
     A matrix that is already a read-only, C-ordered complex128 ``ndarray``
     owning its data (``linalg.is_frozen_complex``, the rule Kraus operator
     stacks follow too) is adopted without a copy; any other input is
-    copied, so the state never shares memory with a writable array. Either
-    way the matrix is checked once, in the order 2-D, finite, square,
-    Hermitian (max|m - m^H| <= HERMITICITY_ATOL), unit trace. Finiteness
-    comes before the Hermiticity test, whose m - m^H would warn on
-    inf - inf.
+    copied, so the state never shares memory with a writable array.
+    Adoption trusts the array's owner: whoever owns a read-only array can
+    make it writable again (``setflags(write=True)``), and a write after
+    that would reach the state unchecked. Library code hands over only its
+    own fresh outputs this way and never writes them again; a caller that
+    passes a frozen array takes on the same rule. Either way the matrix is
+    checked once, in the order 2-D, finite, square, Hermitian
+    (max|m - m^H| <= HERMITICITY_ATOL), unit trace. Finiteness comes
+    before the Hermiticity test, whose m - m^H would warn on inf - inf.
 
     Positivity is not enforced at construction; call ``validate_positive``
     where the eigenvalue floor matters.

@@ -22,9 +22,36 @@ SIGMA_FLOOR = EPS
 
 
 def _matrix(rho) -> np.ndarray:
+    """The validated matrix of ``rho``: a ``DensityOperator``'s own, or one
+    fresh copy of a raw input, frozen so that the state adopts it."""
     if isinstance(rho, DensityOperator):
         return rho.matrix
-    return DensityOperator(as_complex_matrix(rho, name="rho")).matrix
+    m = as_complex_matrix(rho, name="rho")
+    m.setflags(write=False)
+    return DensityOperator(m).matrix
+
+
+def _grand_sum(m: np.ndarray) -> float:
+    total = complex(m.sum())
+    if abs(total.imag) > 1e-8:
+        raise ValueError(f"rho: grand sum has imaginary residue {total.imag!r}")
+    return float(total.real)
+
+
+def _projective_probability(sigma: float, dim: int) -> float:
+    p = sigma / dim
+    if p < -EPS or p > 1.0 + EPS:
+        raise ValueError(f"rho: projective probability {p!r} outside [0, 1]")
+    return float(min(1.0, max(0.0, p)))
+
+
+def _rugosity(sigma: float, dim: int) -> float:
+    if sigma < SIGMA_FLOOR:
+        return math.inf
+    value = -math.log(sigma / dim)
+    if value < -1e-12:
+        raise ValueError(f"rho: rugosity {value!r} is negative beyond tolerance")
+    return max(0.0, value)
 
 
 def grand_sum(rho) -> float:
@@ -33,11 +60,7 @@ def grand_sum(rho) -> float:
     Hermiticity makes the result real; values land in [0, dim] up to
     numerical noise.
     """
-    m = _matrix(rho)
-    total = complex(m.sum())
-    if abs(total.imag) > 1e-8:
-        raise ValueError(f"rho: grand sum has imaginary residue {total.imag!r}")
-    return float(total.real)
+    return _grand_sum(_matrix(rho))
 
 
 def projective_probability(rho) -> float:
@@ -46,10 +69,7 @@ def projective_probability(rho) -> float:
     Equals grand_sum / dim, clamped to [0, 1] against numerical noise.
     """
     m = _matrix(rho)
-    p = grand_sum(m) / m.shape[0]
-    if p < -EPS or p > 1.0 + EPS:
-        raise ValueError(f"rho: projective probability {p!r} outside [0, 1]")
-    return float(min(1.0, max(0.0, p)))
+    return _projective_probability(_grand_sum(m), m.shape[0])
 
 
 def rugosity(rho) -> float:
@@ -60,14 +80,7 @@ def rugosity(rho) -> float:
     textureless state.
     """
     m = _matrix(rho)
-    sigma = grand_sum(m)
-    dim = m.shape[0]
-    if sigma < SIGMA_FLOOR:
-        return math.inf
-    value = -math.log(sigma / dim)
-    if value < -1e-12:
-        raise ValueError(f"rho: rugosity {value!r} is negative beyond tolerance")
-    return max(0.0, value)
+    return _rugosity(_grand_sum(m), m.shape[0])
 
 
 def imaginarity_qubit(rho) -> float:
@@ -93,7 +106,7 @@ def additivity_check(rhos) -> tuple[float, float]:
     if not matrices:
         raise ValueError("rhos: need at least one state")
     lhs = rugosity(kron_all(matrices))
-    parts = [rugosity(m) for m in matrices]
+    parts = [_rugosity(_grand_sum(m), m.shape[0]) for m in matrices]
     rhs = math.inf if any(math.isinf(p) for p in parts) else float(sum(parts))
     return lhs, rhs
 
@@ -109,11 +122,13 @@ class TextureReading:
 
 
 def texture_report(rho) -> TextureReading:
-    """Evaluate all texture functionals of a state."""
+    """Evaluate all texture functionals of a state, validating it once."""
     m = _matrix(rho)
+    dim = m.shape[0]
+    sigma = _grand_sum(m)
     return TextureReading(
-        dim=int(m.shape[0]),
-        grand_sum=grand_sum(m),
-        projective_probability=projective_probability(m),
-        rugosity=rugosity(m),
+        dim=dim,
+        grand_sum=sigma,
+        projective_probability=_projective_probability(sigma, dim),
+        rugosity=_rugosity(sigma, dim),
     )

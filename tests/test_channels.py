@@ -663,9 +663,16 @@ def test_channel_outputs_are_bit_identical_to_the_former_apply():
     rng = np.random.default_rng(65)
     channels = _oracle_channels(rng)
     channels.append(KrausChannel(dim=5, operators=(np.eye(5)[[2, 0, 4, 1, 3]],)))
-    channels.append(build_free_channel(12, _random_ket(rng, 12)))  # three S row blocks
+    # From dim 8 on, S has more than 4095 // dim**2 rows and is applied in
+    # row blocks: one stacked call for the full blocks, one more for the
+    # remaining rows. Dims 8-16 leave a remainder (1 row at dims 8, 13 and
+    # 16); dim 20's 400 rows are 40 blocks of 10, with none.
+    for dim in (*range(9, 16), 20):
+        channels.append(build_free_channel(dim, _random_ket(rng, dim)))
     paths = {ch._superoperator is not None for ch in channels}
     assert paths == {True, False}
+    remainders = {dim * dim % (_MATVEC_MN // dim**2) for dim in range(8, 17)}
+    assert 0 not in remainders and 20 * 20 % (_MATVEC_MN // 20**2) == 0
     for ch in channels:
         for rho in _oracle_states(rng, ch.dim):
             got = apply_channel(ch, rho)
@@ -694,3 +701,58 @@ def test_read_only_owned_matrix_is_adopted_and_any_other_is_copied():
         state = DensityOperator(other)
         assert type(state.matrix) is np.ndarray and state.matrix is not other
         assert state.matrix.flags.c_contiguous and state.matrix.flags.owndata
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernels against the former Python loops
+
+
+def _former_superoperator(channel: KrausChannel) -> np.ndarray:
+    # The former tile-by-tile superoperator, kept verbatim as an exact
+    # oracle for the stacked tile products.
+    dim = channel.dim
+    ops = channel.operators
+    count = len(ops)
+    blocks = -(-count // max(1, _MATMUL_MNK // (dim * dim)))
+    edges = [count * i // blocks for i in range(blocks + 1)]
+    sup = np.empty((dim, dim, dim, dim), dtype=np.complex128)
+    product = np.empty((dim, dim), dtype=np.complex128)
+    for lo, hi in zip(edges, edges[1:]):
+        block = ops[lo:hi]
+        for b in range(dim):
+            conj_rows = block[:, b, :].conj()  # [k, d]
+            for a in range(b + 1):
+                if lo == 0:
+                    np.matmul(block[:, a, :].T, conj_rows, out=sup[a, b])
+                else:
+                    np.matmul(block[:, a, :].T, conj_rows, out=product)
+                    sup[a, b] += product
+    lower = np.tril_indices(dim, -1)
+    diagonal = np.arange(dim)
+    for a in range(dim):
+        tile = sup[a, a]
+        tile[lower] = tile.T[lower].conj()
+        tile.imag[diagonal, diagonal] = 0.0
+        for b in range(a + 1, dim):
+            np.conjugate(sup[a, b].T, out=sup[b, a])
+    return sup.reshape(dim * dim, dim * dim)
+
+
+def _operator_blocks(channel: KrausChannel) -> int:
+    return -(-len(channel.operators) // (_MATMUL_MNK // channel.dim**2))
+
+
+def test_stacked_superoperator_is_bit_identical_to_the_former_tiles():
+    rng = np.random.default_rng(67)
+    channels = []
+    for dim in range(2, 17):
+        channels.append(build_free_channel(dim, _random_ket(rng, dim)))
+        q = float(rng.uniform(0.2, 0.8))
+        ensemble = [(q, _random_ket(rng, dim)), (1.0 - q, _random_ket(rng, dim))]
+        channels.append(build_free_channel_mixed(dim, ensemble))
+    channels += [_random_channel(rng, 8, 2100), _random_channel(rng, 16, 600)]
+    assert {_operator_blocks(ch) for ch in channels} == {1, 2, 3}
+    for ch in channels:
+        got = ch._superoperator
+        assert got.tobytes() == _former_superoperator(ch).tobytes()
+        assert not got.flags.writeable

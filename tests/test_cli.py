@@ -442,6 +442,12 @@ CLI_OUTPUT_DIGESTS = {
         ["channel-audit", "--in", "perm.json", "--states", "20", "--seed", "7"],
         "4d9fd4d891b572e4a8133c2a6887306839587a07fd3cf72d1eb48cf8ad0b19bc",
     ),
+    # dim 16, 256 operators: S is built from two operator blocks and applied
+    # in 15-row blocks plus a 1-row tail.
+    "channel-audit-free-dim16-row-blocks": (
+        ["channel-audit", "--in", "free16.json", "--states", "12", "--seed", "7"],
+        "7e4067658625a0c6b720b45b3ab5da89b974b9b0b7ac6b24f83200e66f568ab1",
+    ),
 }
 
 
@@ -470,6 +476,12 @@ def test_cli_output_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
          "--noise-p", "0.1", "--noise-q", "0.05", "--out", "noisy.json"]
     ) == 0
     argv, digest = CLI_OUTPUT_DIGESTS[name]
+    if "free16.json" in argv:  # 3 MB of JSON: written only where it is read
+        target = np.arange(1, 17) * np.exp(0.7j * np.arange(16))
+        _write_json(
+            tmp_path / "free16.json",
+            channel_to_json_dict(build_free_channel(16, target / np.linalg.norm(target))),
+        )
     assert main(argv) in (0, 2)
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest

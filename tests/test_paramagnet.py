@@ -179,3 +179,96 @@ def test_paramagnet_csv_layout():
     first = lines[1].split(",")
     assert float(first[0]) == 0.5
     assert float(first[1]) == pytest.approx(averaged_rugosity_per_spin(0.5))
+
+
+# ---------------------------------------------------------------------------
+# the tabulated levels against the former per-call nodes
+
+
+def _former_integrand(x: float, t: np.ndarray) -> np.ndarray:
+    # The former integrand, kept verbatim as an exact oracle.
+    c, gap = paramagnet._sech(x)
+    return -np.log(0.5 * gap + c * np.sin(0.5 * t) ** 2)
+
+
+def _former_level_sum(x: float, s: np.ndarray) -> float:
+    # The former level sum, which rebuilt every node and weight per call.
+    u = 0.5 * math.pi * np.sinh(s)
+    t = math.pi / (1.0 + np.exp(-2.0 * u))
+    terms = np.cosh(s) / np.cosh(u) ** 2 * _former_integrand(x, t)
+    return float(np.sum(terms[np.isfinite(terms)]))
+
+
+def _former_quadrature(x: float) -> float:
+    # The former averaged_rugosity_per_spin, verbatim but for reading RTOL
+    # and MAX_POINTS off the module, where the tests patch them.
+    h = paramagnet._FIRST_STEP
+    half = round(paramagnet._EXTENT / h)
+    total = _former_level_sum(x, np.arange(-half, half + 1) * h)
+    value = 0.25 * math.pi * h * total
+    while 4 * half + 1 <= paramagnet.MAX_POINTS:
+        h *= 0.5
+        half *= 2
+        total += _former_level_sum(x, np.arange(1 - half, half, 2) * h)
+        prev, value = value, 0.25 * math.pi * h * total
+        if abs(value - prev) <= paramagnet.RTOL * max(1.0, abs(value)):
+            return value
+    raise RuntimeError(
+        f"quadrature did not converge within {paramagnet.MAX_POINTS} points at x={x!r}"
+    )
+
+
+def _quadrature_outcome(quadrature, x):
+    try:
+        return ("ok", quadrature(x).hex())
+    except RuntimeError as exc:
+        return ("raise", str(exc))
+
+
+_ORACLE_FIELDS = [0.0, 1e-300, 7e-6, 30.0, 700.0, 1e300] + [
+    float(x) for x in np.linspace(0.0, 5.0, 26)
+]
+
+
+def _assert_tables_bounded():
+    assert set(paramagnet._tables) <= set(range(paramagnet._TABLED_LEVELS))
+    for weights, sin2 in paramagnet._tables.values():
+        assert not weights.flags.writeable and not sin2.flags.writeable
+
+
+def test_tabulated_quadrature_is_bit_identical_to_the_former_one(monkeypatch):
+    monkeypatch.setattr(paramagnet, "_tables", {})
+    for x in _ORACLE_FIELDS:
+        want = _quadrature_outcome(_former_quadrature, x)
+        assert want[0] == "ok"
+        # First use builds the levels a field needs; the second reads them.
+        assert _quadrature_outcome(averaged_rugosity_per_spin, x) == want
+        assert _quadrature_outcome(averaged_rugosity_per_spin, x) == want
+    assert len(paramagnet._tables) >= 2
+    _assert_tables_bounded()
+    for x in (0.0, 7e-6, 1.0, 700.0):
+        phase = 2.0 * math.pi * paramagnet.master_generator(3).random(500)
+        vals = _former_integrand(x, math.pi - phase)
+        want = (float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(500)))
+        got = sampled_rugosity_per_spin(x, samples=500, seed=3)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("rtol", [0.0, -1.0])
+def test_levels_past_the_table_are_built_per_call_like_the_former_ones(monkeypatch, rtol):
+    # At RTOL = 0 every oracle field still stops within levels 0-3, where
+    # two levels agree exactly; RTOL = -1 is never met, so every field runs
+    # to the cap, whose 1 << 15 nodes allow levels 0-7, two past the table.
+    monkeypatch.setattr(paramagnet, "_tables", {})
+    monkeypatch.setattr(paramagnet, "RTOL", rtol)
+    monkeypatch.setattr(paramagnet, "MAX_POINTS", 1 << 15)
+    assert paramagnet._TABLED_LEVELS == 6
+    outcomes = set()
+    for x in _ORACLE_FIELDS:
+        want = _quadrature_outcome(_former_quadrature, x)
+        outcomes.add(want[0])
+        assert _quadrature_outcome(averaged_rugosity_per_spin, x) == want
+        assert _quadrature_outcome(averaged_rugosity_per_spin, x) == want
+    assert outcomes == ({"ok"} if rtol == 0.0 else {"raise"})
+    assert len(paramagnet._tables) == (4 if rtol == 0.0 else paramagnet._TABLED_LEVELS)
+    _assert_tables_bounded()

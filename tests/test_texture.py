@@ -134,3 +134,26 @@ def test_texture_report_fields():
     np.testing.assert_allclose(reading.grand_sum, 1.0, atol=1e-12)
     np.testing.assert_allclose(reading.projective_probability, 0.25, atol=1e-12)
     np.testing.assert_allclose(reading.rugosity, math.log(4.0), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "reading", [grand_sum, projective_probability, rugosity, texture_report]
+)
+def test_each_reading_validates_its_state_once(reading, monkeypatch):
+    rng = np.random.default_rng(12)
+    state = _random_density(rng, 4)
+    raw = np.array(state.matrix)  # a writable copy
+    built = []
+    check = DensityOperator.__post_init__
+
+    def counting_check(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(DensityOperator, "__post_init__", counting_check)
+    for value, constructions in ((raw, 1), (raw.tolist(), 1), (state, 0)):
+        built.clear()
+        assert reading(value) == reading(state)
+        built.clear()
+        reading(value)
+        assert len(built) == constructions
