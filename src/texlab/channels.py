@@ -28,9 +28,6 @@ COMPLETENESS_ATOL = 1e-10
 #: Tolerance used when certifying that operators fix the uniform ket.
 FREE_RESIDUAL_ATOL = 1e-10
 
-#: Eigenvalues of a mixed conversion target below this weight are dropped.
-TARGET_WEIGHT_FLOOR = 1e-12
-
 #: Most multiply-adds in one matrix-matrix product of the channel kernels.
 #: OpenBLAS hands a product with m * n * k >= 65536 to worker threads, which
 #: then busy-wait between calls and take a core from everything else that
@@ -385,37 +382,6 @@ def build_free_channel_mixed(dim: int, ensemble) -> KrausChannel:
     return KrausChannel(dim=dim, operators=operators)
 
 
-def convert_from_f2(target: DensityOperator) -> KrausChannel:
-    """Texture-free channel mapping the second Fourier ket's projector onto
-    an arbitrary target density operator.
-
-    The target is eigendecomposed; eigenvalues below ``TARGET_WEIGHT_FLOOR``
-    are dropped and the remaining weights renormalized. The round trip is
-    verified to 1e-8. A target with a negative eigenvalue, or of dim 1 (no
-    second Fourier ket), is rejected before anything is built.
-    """
-    if target.dim < 2:
-        raise ValueError(f"target: dim must be at least 2, got {target.dim}")
-    try:
-        target.validate_positive()
-    except ValueError as err:
-        raise ValueError(f"target: {err}") from None
-    vals, vecs = np.linalg.eigh(target.matrix)
-    keep = vals > TARGET_WEIGHT_FLOOR
-    if not np.any(keep):
-        raise ValueError("target: no eigenvalue above the weight floor")
-    weights = vals[keep]
-    weights = weights / weights.sum()
-    kets = [vecs[:, j].copy() for j in np.nonzero(keep)[0]]
-    channel = build_free_channel_mixed(target.dim, list(zip(weights, kets)))
-    f2 = DensityOperator.from_ket(fourier_ket(target.dim, 2))
-    image = apply_channel(channel, f2)
-    err = float(np.linalg.norm(image.matrix - target.matrix))
-    if err > 1e-8:
-        raise ValueError(f"target: conversion round-trip residual {err!r} exceeds 1e-8")
-    return channel
-
-
 @dataclass(frozen=True)
 class F1Decomposition:
     """Split of a ket into its uniform component and orthogonal remainder.
@@ -433,8 +399,10 @@ class F1Decomposition:
 
 def decompose_against_f1(phi) -> F1Decomposition:
     """Decompose a pure state against the uniform-superposition ket. No
-    library code calls this or reads ``F1Decomposition``; both stay public
-    only while ``perfbench/tracing.py`` wraps this function by name."""
+    library code calls this; it and ``F1Decomposition`` stay in this module,
+    outside ``texlab.__all__``, only while ``perfbench/tracing.py`` wraps
+    this function by name. The benchmark change that retires the tracer's
+    hooks (ROADMAP item 14's tracer half, with item 1) deletes both."""
     phi = as_ket(phi, name="phi")
     dim = phi.shape[0]
     f1 = fourier_ket(dim, 1)

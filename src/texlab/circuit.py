@@ -35,10 +35,8 @@ __all__ = [
     "CnotGate",
     "CircuitLayer",
     "LayerTransfer",
-    "QubitBasis",
     "standard_gate_matrix",
     "gate_matrix",
-    "pauli_transfer",
     "run_layer_with_inputs",
     "layer_to_json_dict",
     "layer_from_json_dict",

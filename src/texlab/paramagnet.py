@@ -15,8 +15,7 @@ itself, rewritten free of cancellation, on [0, pi]; one rule serves every
 field, including the log singularity at x = 0. It compares r(x) against two
 closed forms (the reference form ``ln 2 - ln(1 + tanh(x/2))`` and the
 corrected form ``2 ln 2 - ln(1 + tanh x)``), which the quadrature never
-uses, and exposes the thermal Gibbs state, whose grand sum is exactly 1
-(rugosity ln 2) at every temperature.
+uses.
 """
 
 from __future__ import annotations
@@ -25,9 +24,7 @@ import math
 
 import numpy as np
 
-from .protocol import master_generator
-from .serialize import ARTIFACT_VERSION, dumps_csv, require_integer
-from .states import DensityOperator
+from .serialize import ARTIFACT_VERSION, dumps_csv
 
 #: Relative tolerance at which the quadrature stops halving its step.
 RTOL = 1e-8
@@ -66,15 +63,6 @@ def _sech(x: float) -> tuple[float, float]:
     decay = math.exp(-x)
     denom = 1.0 + decay * decay
     return 2.0 * decay / denom, math.expm1(-x) ** 2 / denom
-
-
-def coherent_grand_sum(x: float, phase) -> np.ndarray | float:
-    """Per-spin grand sum 1 + sech(x) cos(phase) of the coherent ensemble."""
-    x = _validate_x(x)
-    value = 1.0 + np.cos(phase) * _sech(x)[0]
-    if np.isscalar(phase):
-        return float(value)
-    return value
 
 
 def _integrand(x: float, sin2: np.ndarray) -> np.ndarray:
@@ -151,18 +139,6 @@ def averaged_rugosity_per_spin(x: float) -> float:
     )
 
 
-def sampled_rugosity_per_spin(
-    x: float, *, samples: int, seed: int
-) -> tuple[float, float]:
-    """Monte Carlo estimate (mean, stderr) of the phase-averaged rugosity."""
-    x = _validate_x(x)
-    require_integer(samples, name="samples", minimum=2)
-    gen = master_generator(seed)
-    phase = 2.0 * math.pi * gen.random(samples)
-    vals = _integrand(x, np.sin(0.5 * (math.pi - phase)) ** 2)
-    return float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(samples))
-
-
 def reference_closed_form(x: float) -> float:
     """Tabulated closed form ln 2 - ln(1 + tanh(x/2)) for the averaged rugosity.
 
@@ -185,35 +161,14 @@ def corrected_closed_form(x: float) -> float:
     return 2.0 * math.log(2.0) - math.log1p(math.tanh(x))
 
 
-def gibbs_state(x: float) -> DensityOperator:
-    """Thermal state diag(e^x, e^-x) / (2 cosh x) of one spin.
-
-    Its grand sum is exactly 1 at every temperature, hence rugosity ln 2:
-    thermalization erases the texture advantage of the coherent ensemble.
-    """
-    x = _validate_x(x)
-    p_up = 1.0 / (1.0 + math.exp(-2.0 * x))
-    return DensityOperator(np.diag([p_up, 1.0 - p_up]).astype(np.complex128))
-
-
-def magnetization(x: float) -> float:
-    """Polarization <sigma_z> = tanh(x) of the Gibbs state."""
-    x = _validate_x(x)
-    return math.tanh(x)
-
-
-def reference_magnetization(x: float) -> float:
-    """Tabulated polarization tanh(x/2) (reported for comparison)."""
-    x = _validate_x(x)
-    return math.tanh(x / 2.0)
-
-
 def paramagnet_report(x_values) -> dict:
     """Quadrature-vs-closed-form comparison over a grid of field strengths.
 
     Each row carries the quadrature value, both closed forms, and their
     residuals; the summary reports the worst residual of each form and flags
-    which form is consistent with the quadrature.
+    which form is consistent with the quadrature. ``gibbs_rugosity`` is the
+    constant ln 2: the thermal state diag(e^x, e^-x) / (2 cosh x) is
+    diagonal with unit trace, so its grand sum is 1 at every x.
     """
     xs = [_validate_x(x) for x in x_values]
     if not xs:

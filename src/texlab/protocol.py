@@ -45,15 +45,15 @@ from .circuit import (
     GateKind,
     SingleGate,
     _check_tracks,
-    pauli_transfer,
     run_layer_with_inputs,
     standard_gate_matrix,
 )
 # Nothing here calls it: perfbench/tracing.py wraps this name with getattr
-# and fails without it. The wrapping goes with ROADMAP item 6.
+# and fails without it. The benchmark change that retires the tracer's hooks
+# (ROADMAP item 14's tracer half, with item 1) removes this import.
 from .linalg import principal_eigenvector  # noqa: F401
 from .serialize import ARTIFACT_VERSION, dumps_csv, require_integer
-from .states import QubitBasis, basis_distance
+from .states import QubitBasis, basis_distance, pauli_transfer
 
 DEFAULT_TRIALS = 100_000
 DEFAULT_TAU = 0.05

@@ -1,5 +1,5 @@
-"""State constructions: Fourier kets, density operators, Bloch coordinates,
-two-state reference bases, and ``pauli_transfer``, the package's one Bloch
+"""State constructions: Fourier kets, density operators, two-state
+reference bases, and ``pauli_transfer``, the package's one Bloch
 transfer formula, read by every layer role and basis frame.
 
 The Haar-random trial inputs of the identification protocol are drawn in
@@ -74,12 +74,6 @@ def fourier_ket(dim: int, index: int) -> np.ndarray:
     return phases / np.sqrt(dim)
 
 
-def fourier_matrix(dim: int) -> np.ndarray:
-    """Unitary whose k-th column is ``fourier_ket(dim, k)``."""
-    require_integer(dim, name="dim", minimum=1)
-    return np.stack([fourier_ket(dim, k) for k in range(1, dim + 1)], axis=1)
-
-
 @dataclass(frozen=True)
 class DensityOperator:
     """Validated density operator (Hermitian, unit trace), held as one
@@ -144,45 +138,6 @@ class DensityOperator:
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
         require_integer(dim, name="dim", minimum=1)
         return cls(np.eye(dim, dtype=np.complex128) / dim)
-
-
-@dataclass(frozen=True)
-class BlochVector:
-    """Real Bloch-ball coordinates of a qubit state (|v| <= 1)."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        for name in ("x", "y", "z"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ValueError(f"{name}: must be finite, got {value!r}")
-        norm = float(np.sqrt(self.x**2 + self.y**2 + self.z**2))
-        if norm > 1.0 + BLOCH_NORM_SLACK:
-            raise ValueError(f"(x, y, z): norm {norm!r} exceeds the Bloch ball")
-
-
-def qubit_from_bloch(v: BlochVector) -> DensityOperator:
-    """Qubit density operator (I + x*sx + y*sy + z*sz) / 2."""
-    m = 0.5 * np.array(
-        [[1.0 + v.z, v.x - 1j * v.y], [v.x + 1j * v.y, 1.0 - v.z]],
-        dtype=np.complex128,
-    )
-    return DensityOperator(m)
-
-
-def bloch_of(rho: DensityOperator) -> BlochVector:
-    """Bloch coordinates of a qubit density operator."""
-    if rho.dim != 2:
-        raise ValueError(f"rho: expected a qubit (dim 2), got dim {rho.dim}")
-    m = rho.matrix
-    return BlochVector(
-        x=float(2.0 * m[1, 0].real),
-        y=float(2.0 * m[1, 0].imag),
-        z=float((m[0, 0] - m[1, 1]).real),
-    )
 
 
 @dataclass(frozen=True)

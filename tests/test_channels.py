@@ -17,19 +17,12 @@ from texlab.channels import (
     build_free_channel_mixed,
     channel_from_json_dict,
     channel_to_json_dict,
-    convert_from_f2,
     decompose_against_f1,
     monotonicity_audit,
     texture_free_certificate,
 )
 from texlab.linalg import as_complex_matrix
-from texlab.states import (
-    HERMITICITY_ATOL,
-    TRACE_ATOL,
-    DensityOperator,
-    fourier_ket,
-    fourier_matrix,
-)
+from texlab.states import HERMITICITY_ATOL, TRACE_ATOL, DensityOperator, fourier_ket
 from texlab.texture import grand_sum
 
 
@@ -46,7 +39,7 @@ def _random_density(rng: np.random.Generator, dim: int) -> DensityOperator:
 
 def _fourier_diagonal_unitary(dim: int, phases: np.ndarray) -> KrausChannel:
     """Unitary channel diagonal in the Fourier basis with first phase 1."""
-    f = fourier_matrix(dim)
+    f = np.stack([fourier_ket(dim, k) for k in range(1, dim + 1)], axis=1)
     u = f @ np.diag(np.exp(1j * phases)) @ f.conj().T
     return KrausChannel(dim=dim, operators=(u,))
 
@@ -157,7 +150,7 @@ def test_free_channel_builders_check_dim_first():
         build_free_channel(2.0, [1.0, 0.0])
 
 
-def test_build_free_channel_mixed_and_convert_from_f2():
+def test_build_free_channel_mixed_steers_f2_onto_the_mixture():
     rng = np.random.default_rng(54)
     dim = 4
     kets = [_random_ket(rng, dim) for _ in range(2)]
@@ -168,22 +161,6 @@ def test_build_free_channel_mixed_and_convert_from_f2():
         kets[1], kets[1].conj()
     )
     np.testing.assert_allclose(apply_channel(ch, f2).matrix, expected, atol=1e-10)
-
-    target = _random_density(rng, dim)
-    conv = convert_from_f2(target)
-    np.testing.assert_allclose(
-        apply_channel(conv, f2).matrix, target.matrix, atol=1e-8
-    )
-
-
-def test_convert_from_f2_rejects_unconvertible_targets_first():
-    rng = np.random.default_rng(61)
-    frame = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-    negative = DensityOperator(frame @ np.diag([1.2, -0.2]) @ frame.conj().T)
-    with pytest.raises(ValueError, match="^target: matrix: eigenvalue .* below floor"):
-        convert_from_f2(negative)
-    with pytest.raises(ValueError, match="^target: dim must be at least 2, got 1$"):
-        convert_from_f2(DensityOperator.maximally_mixed(1))
 
 
 def test_build_free_channel_mixed_validates_ensemble():

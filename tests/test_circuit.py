@@ -17,7 +17,7 @@ from texlab.circuit import (
     standard_gate_matrix,
 )
 from texlab.protocol import master_generator, run_protocol
-from texlab.states import QubitBasis, fourier_matrix
+from texlab.states import QubitBasis, fourier_ket
 
 
 def _random_basis(rng: np.random.Generator) -> QubitBasis:
@@ -339,7 +339,7 @@ def _trial_ket(basis, u):
 def _reference_grand_sums(layer, psi):
     """Per track, (computational, Fourier) grand sums of the exact noisy
     output for input ``psi`` on every track."""
-    f = fourier_matrix(2)
+    f = np.stack([fourier_ket(2, k) for k in (1, 2)], axis=1)
     rhos = _per_track_outputs(layer, [psi] * layer.num_tracks, layer.noise)
     return [(rho.sum().real, (f.conj().T @ rho @ f).sum().real) for rho in rhos]
 

@@ -21,7 +21,6 @@ from texlab.circuit import (
     GateKind,
     SingleGate,
     gate_matrix,
-    pauli_transfer,
     run_layer_with_inputs,
     standard_gate_matrix,
 )
@@ -61,7 +60,7 @@ from texlab.protocol import (
     stats_to_csv,
 )
 from texlab.serialize import dumps_canonical
-from texlab.states import QubitBasis, basis_distance
+from texlab.states import QubitBasis, basis_distance, pauli_transfer
 
 SQ2 = 1.0 / math.sqrt(2.0)
 

@@ -18,7 +18,6 @@ from texlab.channels import (
 )
 from texlab.circuit import CircuitLayer, CnotGate, GateKind, SingleGate, layer_from_json_dict
 from texlab.cli import _state_from_json_dict
-from texlab.paramagnet import sampled_rugosity_per_spin
 from texlab.protocol import random_layer, run_protocol
 from texlab.serialize import (
     complex_pair,
@@ -27,7 +26,7 @@ from texlab.serialize import (
     parse_complex_array,
     parse_complex_field,
 )
-from texlab.states import DensityOperator, QubitBasis, fourier_ket, fourier_matrix
+from texlab.states import DensityOperator, QubitBasis, fourier_ket
 
 
 def test_format_float_round_trips_doubles():
@@ -196,13 +195,9 @@ def test_parse_complex_field():
 INTEGER_ARGUMENTS = {
     "fourier_ket.dim": (lambda v: fourier_ket(v, 1), "dim", 4),
     "fourier_ket.index": (lambda v: fourier_ket(4, v), "index", 2),
-    "fourier_matrix.dim": (fourier_matrix, "dim", 3),
     "DensityOperator.maximally_mixed.dim": (DensityOperator.maximally_mixed, "dim", 2),
     "KrausChannel.dim": (
         lambda v: KrausChannel(dim=v, operators=(np.eye(2, dtype=complex),)), "dim", 2
-    ),
-    "sampled_rugosity_per_spin.samples": (
-        lambda v: sampled_rugosity_per_spin(1.0, samples=v, seed=3), "samples", 10
     ),
 }
 
@@ -210,8 +205,7 @@ INTEGER_ARGUMENTS = {
 @pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
 def test_integer_arguments_reject_floats_and_bools(name):
     # fourier_ket(4, 1.5) used to return a ket outside the Fourier basis,
-    # True to pass as 1, and a float dim or sample count to fail later with
-    # a TypeError.
+    # True to pass as 1, and a float dim to fail later with a TypeError.
     call, field, good = INTEGER_ARGUMENTS[name]
     for bad in (good + 0.5, float(good), True):
         message = rf"^{field}: expected an integer, got {re.escape(repr(bad))}$"
@@ -228,7 +222,6 @@ _LAYER = {"tracks": 2, "hidden_basis": {"alpha": [1.0, 0.0], "beta": [0.0, 0.0]}
 #: site -> (call with a value, name in the message, minimum)
 COUNT_SITES = {
     "fourier_ket.dim": (lambda v: fourier_ket(v, 1), "dim", 1),
-    "fourier_matrix.dim": (fourier_matrix, "dim", 1),
     "DensityOperator.maximally_mixed.dim": (DensityOperator.maximally_mixed, "dim", 1),
     "KrausChannel.dim": (
         lambda v: KrausChannel(dim=v, operators=(np.eye(2, dtype=complex),)), "dim", 1
@@ -249,9 +242,6 @@ COUNT_SITES = {
     ),
     "random_layer.num_tracks": (
         lambda v: random_layer(num_tracks=v, num_cnots=0, seed=0), "num_tracks", 1
-    ),
-    "sampled_rugosity_per_spin.samples": (
-        lambda v: sampled_rugosity_per_spin(1.0, samples=v, seed=3), "samples", 2
     ),
     "layer_from_json_dict.tracks": (
         lambda v: layer_from_json_dict({**_LAYER, "tracks": v}), "tracks", 1

@@ -5,16 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from texlab.states import (
-    BlochVector,
-    DensityOperator,
-    QubitBasis,
-    basis_distance,
-    bloch_of,
-    fourier_ket,
-    fourier_matrix,
-    qubit_from_bloch,
-)
+from texlab.states import DensityOperator, QubitBasis, basis_distance, fourier_ket
 
 
 def test_fourier_ket_first_index_is_uniform():
@@ -38,17 +29,6 @@ def test_fourier_ket_validates_arguments():
         fourier_ket(3, 4)
     with pytest.raises(ValueError, match="index"):
         fourier_ket(3, 0)
-
-
-@pytest.mark.parametrize("dim", [0, -2])
-def test_fourier_matrix_rejects_a_non_positive_dim(dim):
-    with pytest.raises(ValueError, match=f"^dim: must be a positive integer, got {dim}$"):
-        fourier_matrix(dim)
-
-
-def test_fourier_matrix_is_unitary():
-    f = fourier_matrix(5)
-    np.testing.assert_allclose(f.conj().T @ f, np.eye(5), atol=1e-12)
 
 
 def test_density_operator_validation():
@@ -78,28 +58,6 @@ def test_density_operator_from_ket_and_positivity():
     )
     with pytest.raises(ValueError, match="eigenvalue"):
         bad.validate_positive()
-
-
-def test_bloch_round_trip():
-    rng = np.random.default_rng(31)
-    for _ in range(50):
-        v = rng.normal(size=3)
-        v = v / np.linalg.norm(v) * rng.random()
-        vec = BlochVector(x=float(v[0]), y=float(v[1]), z=float(v[2]))
-        back = bloch_of(qubit_from_bloch(vec))
-        np.testing.assert_allclose([back.x, back.y, back.z], v, atol=1e-12)
-
-
-def test_bloch_vector_validation():
-    with pytest.raises(ValueError, match="norm"):
-        BlochVector(x=1.0, y=1.0, z=0.0)
-    with pytest.raises(ValueError, match="x"):
-        BlochVector(x=float("nan"), y=0.0, z=0.0)
-
-
-def test_bloch_of_requires_qubit():
-    with pytest.raises(ValueError, match="dim 2"):
-        bloch_of(DensityOperator.maximally_mixed(3))
 
 
 def test_qubit_basis_kets_are_orthonormal():

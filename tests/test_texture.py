@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from texlab.states import DensityOperator, fourier_ket
+from texlab.cli import main
+from texlab.serialize import dumps_canonical
+from texlab.states import HERMITICITY_ATOL, DensityOperator, fourier_ket
 from texlab.texture import (
     additivity_check,
     grand_sum,
-    imaginarity_qubit,
     projective_probability,
     rugosity,
     texture_report,
@@ -70,20 +72,6 @@ def test_rugosity_matches_closed_form_on_random_states():
         np.testing.assert_allclose(rugosity(rho), -math.log(sigma / 4.0), atol=1e-12)
 
 
-def test_imaginarity_qubit_values():
-    # (|1> + i|2>)/sqrt(2) sits at Bloch y = 1.
-    ket = np.array([1.0, 1.0j]) / np.sqrt(2.0)
-    np.testing.assert_allclose(
-        imaginarity_qubit(DensityOperator.from_ket(ket)), 2.0, atol=1e-12
-    )
-    real_ket = np.array([0.6, 0.8])
-    np.testing.assert_allclose(
-        imaginarity_qubit(DensityOperator.from_ket(real_ket)), 0.0, atol=1e-12
-    )
-    with pytest.raises(ValueError, match="dim 2"):
-        imaginarity_qubit(DensityOperator.maximally_mixed(3))
-
-
 def test_grand_sum_is_affine_under_mixing():
     rng = np.random.default_rng(44)
     for _ in range(30):
@@ -134,6 +122,29 @@ def test_texture_report_fields():
     np.testing.assert_allclose(reading.grand_sum, 1.0, atol=1e-12)
     np.testing.assert_allclose(reading.projective_probability, 0.25, atol=1e-12)
     np.testing.assert_allclose(reading.rugosity, math.log(4.0), atol=1e-12)
+
+
+def test_a_state_hermitian_within_tolerance_has_a_real_grand_sum(tmp_path, capsys):
+    # Every off-diagonal pair is Hermitian to exactly HERMITICITY_ATOL, so the
+    # state is valid, yet the imaginary parts add up to 64 * 63 * 5e-11, about
+    # 2e-7, in the grand sum. The reading is the real part, here and through
+    # the CLI.
+    dim = 64
+    m = np.eye(dim) / dim + 0.5j * HERMITICITY_ATOL * (np.ones((dim, dim)) - np.eye(dim))
+    assert abs(m.sum().imag) > 1e-7
+    reading = texture_report(m)
+    assert reading.dim == dim
+    np.testing.assert_allclose(reading.grand_sum, 1.0, atol=1e-15)
+    np.testing.assert_allclose(reading.rugosity, math.log(dim), atol=1e-12)
+    infile = tmp_path / "state.json"
+    infile.write_text(
+        dumps_canonical({"matrix": [[[z.real, z.imag] for z in row] for row in m]}),
+        encoding="utf-8",
+    )
+    assert main(["texture", "--in", str(infile)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["grand_sum"] == reading.grand_sum
+    assert payload["rugosity"] == reading.rugosity
 
 
 @pytest.mark.parametrize(
